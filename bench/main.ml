@@ -653,13 +653,25 @@ let time_per_op ~min_time_s ~min_iters f =
 
 (* ------------------------------------------------------------------ *)
 (* Host hash hot path: MB/s per size class for every digest the WORM
-   layer leans on. The committed pre/post baselines under bench/results/
-   gate the hot-path overhaul: sha256/oneshot/64KB is the headline row. *)
+   layer leans on, and for the AES-CTR sealing cipher beside them. The
+   committed pre/post baselines under bench/results/ gate the hot-path
+   overhaul: sha256/oneshot/64KB is the headline row. *)
 
 let hash_size_classes = [ 1024; 4096; 16384; 65536; 262144 ]
 
 let print_hash ~quick ~env:_ =
   hr "HASH -- host hash hot path (MB/s per size class)";
+  (* The AES rows time the sealing cipher: refuse to time a wrong one. *)
+  let aes_kat =
+    Aes.encrypt_block
+      (Aes.key_of_string (Worm_util.Hex.decode "000102030405060708090a0b0c0d0e0f"))
+      (Worm_util.Hex.decode "00112233445566778899aabbccddeeff")
+  in
+  if Worm_util.Hex.encode aes_kat <> "69c4e0d86a7b0430d8cdb78070b4c55a" then begin
+    prerr_endline "hash: AES-128 fails the FIPS 197 C.1 known answer";
+    exit 1
+  end;
+  let aes_key = Aes.key_of_string "bench-aes-key-16" in
   let budget = if quick then 0.04 else 0.25 in
   let blocks =
     List.map (fun size -> (size, Drbg.generate (Drbg.create ~seed:"bench-hash") size)) hash_size_classes
@@ -684,7 +696,9 @@ let print_hash ~quick ~env:_ =
       row ~algo:"hmac-sha256" ~mode:"oneshot" ~bytes:size
         (mb_per_sec size (fun () -> Hmac.sha256 ~key:"0123456789abcdef" block));
       row ~algo:"chained-sha256" ~mode:"oneshot" ~bytes:size
-        (mb_per_sec size (fun () -> Chained_hash.add Chained_hash.empty block)))
+        (mb_per_sec size (fun () -> Chained_hash.add Chained_hash.empty block));
+      row ~algo:"aes128-ctr" ~mode:"oneshot" ~bytes:size
+        (mb_per_sec size (fun () -> Aes.ctr aes_key ~nonce:"bench-nc" block)))
     blocks;
   (* Zero-copy streaming: the same bytes fed through feed_sub in odd
      4091-byte slices, as the blockdev/fs framing paths do. *)

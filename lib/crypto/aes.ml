@@ -1,117 +1,163 @@
-(* AES-128, straightforward byte-oriented implementation from FIPS 197:
-   4x4 column-major state, table-driven S-box, xtime for MixColumns. *)
+(* AES-128 (FIPS 197), word-oriented T-table core.
 
+   A state column is one big-endian 32-bit word carried in a native int
+   (row 0 in the top byte), so a round is sixteen table lookups and
+   XORs over four let-bound ints. The S-box and the four T-tables are
+   computed at module init from the field arithmetic of FIPS 197 §4-5:
+   nothing below is a hand-typed table.
+
+   The unsafe accesses are sound by construction: every table index is
+   a byte extracted from a 32-bit word ([lsr 24] or [land 0xff]), a
+   [key] is always the 44-word array built by [key_of_string], and
+   [xor_block] touches whole words only when a full block fits in both
+   [data] and [out], which have the same length. *)
+
+external unsafe_get_32 : string -> int -> int32 = "%caml_string_get32u"
+external unsafe_set_32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let xtime b = ((b lsl 1) lxor (if b land 0x80 <> 0 then 0x1b else 0)) land 0xff
+
+(* S-box: multiplicative inverse in GF(2^8), via exp/log tables over the
+   generator 3, followed by the affine transform. *)
 let sbox =
-  [|
-    0x63; 0x7c; 0x77; 0x7b; 0xf2; 0x6b; 0x6f; 0xc5; 0x30; 0x01; 0x67; 0x2b; 0xfe; 0xd7; 0xab; 0x76;
-    0xca; 0x82; 0xc9; 0x7d; 0xfa; 0x59; 0x47; 0xf0; 0xad; 0xd4; 0xa2; 0xaf; 0x9c; 0xa4; 0x72; 0xc0;
-    0xb7; 0xfd; 0x93; 0x26; 0x36; 0x3f; 0xf7; 0xcc; 0x34; 0xa5; 0xe5; 0xf1; 0x71; 0xd8; 0x31; 0x15;
-    0x04; 0xc7; 0x23; 0xc3; 0x18; 0x96; 0x05; 0x9a; 0x07; 0x12; 0x80; 0xe2; 0xeb; 0x27; 0xb2; 0x75;
-    0x09; 0x83; 0x2c; 0x1a; 0x1b; 0x6e; 0x5a; 0xa0; 0x52; 0x3b; 0xd6; 0xb3; 0x29; 0xe3; 0x2f; 0x84;
-    0x53; 0xd1; 0x00; 0xed; 0x20; 0xfc; 0xb1; 0x5b; 0x6a; 0xcb; 0xbe; 0x39; 0x4a; 0x4c; 0x58; 0xcf;
-    0xd0; 0xef; 0xaa; 0xfb; 0x43; 0x4d; 0x33; 0x85; 0x45; 0xf9; 0x02; 0x7f; 0x50; 0x3c; 0x9f; 0xa8;
-    0x51; 0xa3; 0x40; 0x8f; 0x92; 0x9d; 0x38; 0xf5; 0xbc; 0xb6; 0xda; 0x21; 0x10; 0xff; 0xf3; 0xd2;
-    0xcd; 0x0c; 0x13; 0xec; 0x5f; 0x97; 0x44; 0x17; 0xc4; 0xa7; 0x7e; 0x3d; 0x64; 0x5d; 0x19; 0x73;
-    0x60; 0x81; 0x4f; 0xdc; 0x22; 0x2a; 0x90; 0x88; 0x46; 0xee; 0xb8; 0x14; 0xde; 0x5e; 0x0b; 0xdb;
-    0xe0; 0x32; 0x3a; 0x0a; 0x49; 0x06; 0x24; 0x5c; 0xc2; 0xd3; 0xac; 0x62; 0x91; 0x95; 0xe4; 0x79;
-    0xe7; 0xc8; 0x37; 0x6d; 0x8d; 0xd5; 0x4e; 0xa9; 0x6c; 0x56; 0xf4; 0xea; 0x65; 0x7a; 0xae; 0x08;
-    0xba; 0x78; 0x25; 0x2e; 0x1c; 0xa6; 0xb4; 0xc6; 0xe8; 0xdd; 0x74; 0x1f; 0x4b; 0xbd; 0x8b; 0x8a;
-    0x70; 0x3e; 0xb5; 0x66; 0x48; 0x03; 0xf6; 0x0e; 0x61; 0x35; 0x57; 0xb9; 0x86; 0xc1; 0x1d; 0x9e;
-    0xe1; 0xf8; 0x98; 0x11; 0x69; 0xd9; 0x8e; 0x94; 0x9b; 0x1e; 0x87; 0xe9; 0xce; 0x55; 0x28; 0xdf;
-    0x8c; 0xa1; 0x89; 0x0d; 0xbf; 0xe6; 0x42; 0x68; 0x41; 0x99; 0x2d; 0x0f; 0xb0; 0x54; 0xbb; 0x16;
-  |]
+  let exp = Array.make 255 0 and log = Array.make 256 0 in
+  let x = ref 1 in
+  for i = 0 to 254 do
+    exp.(i) <- !x;
+    log.(!x) <- i;
+    x := !x lxor xtime !x
+  done;
+  let rotl8 b n = ((b lsl n) lor (b lsr (8 - n))) land 0xff in
+  Array.init 256 (fun b ->
+      let inv = if b = 0 then 0 else exp.((255 - log.(b)) mod 255) in
+      inv lxor rotl8 inv 1 lxor rotl8 inv 2 lxor rotl8 inv 3 lxor rotl8 inv 4 lxor 0x63)
 
-let rcon = [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
+(* te0.(x) is the MixColumns column (2s, s, s, 3s) of s = sbox.(x);
+   te1..te3 are its byte rotations, one per ShiftRows source row. *)
+let te0 =
+  Array.map
+    (fun s ->
+      let s2 = xtime s in
+      (s2 lsl 24) lor (s lsl 16) lor (s lsl 8) lor (s2 lxor s))
+    sbox
 
-type key = int array array
-(* 11 round keys of 16 bytes each *)
+let rotr8 w = (w lsr 8) lor ((w land 0xff) lsl 24)
+let te1 = Array.map rotr8 te0
+let te2 = Array.map rotr8 te1
+let te3 = Array.map rotr8 te2
+
+type key = int array
+(* 44 round-key words: word 4r + c is column c of round key r *)
+
+let sub_word w =
+  (sbox.(w lsr 24) lsl 24)
+  lor (sbox.((w lsr 16) land 0xff) lsl 16)
+  lor (sbox.((w lsr 8) land 0xff) lsl 8)
+  lor sbox.(w land 0xff)
+
+let be32 v = if Sys.big_endian then v else swap32 v
+let word_be s off = Int32.to_int (be32 (unsafe_get_32 s off)) land 0xffffffff
+let set_word out off w = unsafe_set_32 out off (be32 (Int32.of_int w))
 
 let key_of_string s =
   if String.length s <> 16 then invalid_arg "Aes.key_of_string: need 16 bytes";
-  let w = Array.make_matrix 44 4 0 in
+  let w = Array.make 44 0 in
   for i = 0 to 3 do
-    for j = 0 to 3 do
-      w.(i).(j) <- Char.code s.[(4 * i) + j]
-    done
+    w.(i) <- word_be s (4 * i)
   done;
+  let rcon = ref 0x01 in
   for i = 4 to 43 do
-    let temp = Array.copy w.(i - 1) in
-    if i mod 4 = 0 then begin
-      (* RotWord + SubWord + Rcon *)
-      let t0 = temp.(0) in
-      temp.(0) <- sbox.(temp.(1)) lxor rcon.((i / 4) - 1);
-      temp.(1) <- sbox.(temp.(2));
-      temp.(2) <- sbox.(temp.(3));
-      temp.(3) <- sbox.(t0)
-    end;
-    for j = 0 to 3 do
-      w.(i).(j) <- w.(i - 4).(j) lxor temp.(j)
-    done
+    let t = w.(i - 1) in
+    let t =
+      if i land 3 <> 0 then t
+      else begin
+        (* RotWord + SubWord + Rcon *)
+        let t = sub_word (((t lsl 8) lor (t lsr 24)) land 0xffffffff) lxor (!rcon lsl 24) in
+        rcon := xtime !rcon;
+        t
+      end
+    in
+    w.(i) <- w.(i - 4) lxor t
   done;
-  Array.init 11 (fun round ->
-      Array.init 16 (fun k ->
-          let word = (4 * round) + (k / 4) in
-          w.(word).(k mod 4)))
+  w
 
-let xtime b =
-  let b2 = b lsl 1 in
-  if b land 0x80 <> 0 then (b2 lxor 0x1b) land 0xff else b2 land 0xff
+(* One column of a full round: SubBytes, ShiftRows and MixColumns of the
+   diagonal starting at [a], plus the round-key word [k]. *)
+let[@inline] column a b c d k =
+  Array.unsafe_get te0 (a lsr 24)
+  lxor Array.unsafe_get te1 ((b lsr 16) land 0xff)
+  lxor Array.unsafe_get te2 ((c lsr 8) land 0xff)
+  lxor Array.unsafe_get te3 (d land 0xff)
+  lxor k
 
-let encrypt_block_bytes rk (input : Bytes.t) (output : Bytes.t) =
-  (* state as a 16-byte array, column-major like the input stream *)
-  let s = Array.init 16 (fun i -> Char.code (Bytes.get input i) lxor rk.(0).(i)) in
-  let tmp = Array.make 16 0 in
-  for round = 1 to 10 do
-    (* SubBytes + ShiftRows combined: tmp.(col*4+row) = sbox s at shifted position *)
-    for col = 0 to 3 do
-      for row = 0 to 3 do
-        tmp.((col * 4) + row) <- sbox.(s.((((col + row) mod 4) * 4) + row))
-      done
-    done;
-    if round < 10 then begin
-      (* MixColumns *)
-      for col = 0 to 3 do
-        let a0 = tmp.(col * 4) and a1 = tmp.((col * 4) + 1) and a2 = tmp.((col * 4) + 2) and a3 = tmp.((col * 4) + 3) in
-        let all = a0 lxor a1 lxor a2 lxor a3 in
-        s.(col * 4) <- a0 lxor all lxor xtime (a0 lxor a1);
-        s.((col * 4) + 1) <- a1 lxor all lxor xtime (a1 lxor a2);
-        s.((col * 4) + 2) <- a2 lxor all lxor xtime (a2 lxor a3);
-        s.((col * 4) + 3) <- a3 lxor all lxor xtime (a3 lxor a0)
-      done
-    end
-    else Array.blit tmp 0 s 0 16;
-    (* AddRoundKey *)
-    for i = 0 to 15 do
-      s.(i) <- s.(i) lxor rk.(round).(i)
+(* The last round has no MixColumns: bare S-box bytes. *)
+let[@inline] last_column a b c d k =
+  ((Array.unsafe_get sbox (a lsr 24) lsl 24)
+  lor (Array.unsafe_get sbox ((b lsr 16) land 0xff) lsl 16)
+  lor (Array.unsafe_get sbox ((c lsr 8) land 0xff) lsl 8)
+  lor Array.unsafe_get sbox (d land 0xff))
+  lxor k
+
+(* XOR the keystream block E(s0 s1 s2 s3) over [data] into [out] at
+   [off]: a full block as four 32-bit words, a partial last block byte
+   by byte. [encrypt_block] passes an all-zero [data]. *)
+let xor_block data out off k0 k1 k2 k3 =
+  if off + 16 <= Bytes.length out then begin
+    set_word out off (word_be data off lxor k0);
+    set_word out (off + 4) (word_be data (off + 4) lxor k1);
+    set_word out (off + 8) (word_be data (off + 8) lxor k2);
+    set_word out (off + 12) (word_be data (off + 12) lxor k3)
+  end
+  else
+    for i = off to Bytes.length out - 1 do
+      let j = i - off in
+      let k = match j lsr 2 with 0 -> k0 | 1 -> k1 | 2 -> k2 | _ -> k3 in
+      let ks = (k lsr (24 - (8 * (j land 3)))) land 0xff in
+      Bytes.unsafe_set out i (Char.unsafe_chr (Char.code (String.unsafe_get data i) lxor ks))
     done
-  done;
-  for i = 0 to 15 do
-    Bytes.set output i (Char.chr s.(i))
-  done
+
+(* Rounds [r..10] over the four state columns; round 10 has no
+   MixColumns and ends in [xor_block]. *)
+let rec rounds rk r s0 s1 s2 s3 data out off =
+  let i = 4 * r in
+  if r < 10 then
+    rounds rk (r + 1)
+      (column s0 s1 s2 s3 (Array.unsafe_get rk i))
+      (column s1 s2 s3 s0 (Array.unsafe_get rk (i + 1)))
+      (column s2 s3 s0 s1 (Array.unsafe_get rk (i + 2)))
+      (column s3 s0 s1 s2 (Array.unsafe_get rk (i + 3)))
+      data out off
+  else
+    xor_block data out off
+      (last_column s0 s1 s2 s3 (Array.unsafe_get rk i))
+      (last_column s1 s2 s3 s0 (Array.unsafe_get rk (i + 1)))
+      (last_column s2 s3 s0 s1 (Array.unsafe_get rk (i + 2)))
+      (last_column s3 s0 s1 s2 (Array.unsafe_get rk (i + 3)))
+
+let keystream_xor rk s0 s1 s2 s3 data out off =
+  rounds rk 1
+    (s0 lxor Array.unsafe_get rk 0)
+    (s1 lxor Array.unsafe_get rk 1)
+    (s2 lxor Array.unsafe_get rk 2)
+    (s3 lxor Array.unsafe_get rk 3)
+    data out off
+
+let zero_block = String.make 16 '\000'
 
 let encrypt_block key block =
   if String.length block <> 16 then invalid_arg "Aes.encrypt_block: need 16 bytes";
   let out = Bytes.create 16 in
-  encrypt_block_bytes key (Bytes.of_string block) out;
+  keystream_xor key (word_be block 0) (word_be block 4) (word_be block 8) (word_be block 12) zero_block out 0;
   Bytes.unsafe_to_string out
 
 let ctr key ~nonce data =
   if String.length nonce <> 8 then invalid_arg "Aes.ctr: nonce must be 8 bytes";
   let n = String.length data in
-  let out = Bytes.of_string data in
-  let counter_block = Bytes.create 16 in
-  Bytes.blit_string nonce 0 counter_block 0 8;
-  let keystream = Bytes.create 16 in
-  let blocks = (n + 15) / 16 in
-  for b = 0 to blocks - 1 do
-    for i = 0 to 7 do
-      Bytes.set counter_block (8 + i) (Char.chr ((b lsr (8 * (7 - i))) land 0xff))
-    done;
-    encrypt_block_bytes key counter_block keystream;
-    let offset = 16 * b in
-    for i = 0 to min 15 (n - offset - 1) do
-      Bytes.set out (offset + i)
-        (Char.chr (Char.code (Bytes.get out (offset + i)) lxor Char.code (Bytes.get keystream i)))
-    done
+  let out = Bytes.create n in
+  let n0 = word_be nonce 0 and n1 = word_be nonce 4 in
+  (* block [b] is XORed with E(nonce || be64 b) *)
+  for b = 0 to ((n + 15) / 16) - 1 do
+    keystream_xor key n0 n1 ((b lsr 32) land 0xffffffff) (b land 0xffffffff) data out (16 * b)
   done;
   Bytes.unsafe_to_string out

@@ -2,10 +2,20 @@
 
     The paper's requirements include storage {e confidentiality} (§1),
     and the IBM 4764's CCA provides symmetric encryption services; this
-    is the at-rest cipher for the {!Worm_core.Vault} layer. Table-based
-    implementation — not constant-time with respect to cache timing,
-    which is acceptable for a simulator and called out here so nobody
-    ships it against co-resident attackers. *)
+    is the at-rest cipher for the {!Worm_core.Vault} layer.
+
+    Word-oriented T-table core: a state column is one 32-bit word, and
+    each round is sixteen lookups into four 256-entry tables (S-box,
+    ShiftRows and MixColumns folded together) plus the round-key words.
+    The S-box and tables are computed at module init; keys and tables
+    are immutable, so every function here is domain-safe.
+
+    {b Simulator cipher, not constant-time.} Every table index is a
+    secret-dependent byte, and the four T-tables (8 KiB of native ints)
+    span many more cache lines than a single byte-wide S-box, so
+    cache-timing attacks recover the key more easily than against a
+    byte-oriented AES. Acceptable for a simulator; never ship it where an
+    attacker can share a core, a cache or a timer with the host. *)
 
 type key
 

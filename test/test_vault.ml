@@ -5,6 +5,8 @@ open Worm_testkit.Testkit
 module Aes = Worm_crypto.Aes
 module Hex = Worm_util.Hex
 module Disk = Worm_simdisk.Disk
+module Pool = Worm_util.Pool
+module Ref_aes = Worm_testkit.Ref_aes
 
 (* ---------- AES primitives ---------- *)
 
@@ -46,6 +48,71 @@ let test_ctr_lengths () =
       Alcotest.(check string) "roundtrip" data (Aes.ctr key ~nonce:"12345678" enc))
     [ 0; 1; 15; 16; 17; 31; 32; 1000 ]
 
+(* SP 800-38A F.5.1 (CTR-AES128.Encrypt): ciphertext block i is the
+   plaintext XOR the encryption of counter block i. *)
+let test_sp800_38a_ctr () =
+  let key = Aes.key_of_string (Hex.decode "2b7e151628aed2a6abf7158809cf4f3c") in
+  let xor a b = String.init (String.length a) (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i])) in
+  List.iter
+    (fun (counter, plain, cipher) ->
+      let ct = xor (Hex.decode plain) (Aes.encrypt_block key (Hex.decode counter)) in
+      Alcotest.(check string) counter cipher (Hex.encode ct))
+    [
+      ("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff", "6bc1bee22e409f96e93d7e117393172a", "874d6191b620e3261bef6864990db6ce");
+      ("f0f1f2f3f4f5f6f7f8f9fafbfcfdff00", "ae2d8a571e03ac9c9eb76fac45af8e51", "9806f66b7970fdff8617187bb9fffdff");
+      ("f0f1f2f3f4f5f6f7f8f9fafbfcfdff01", "30c81c46a35ce411e5fbc1191a0a52ef", "5ae4df3edbd5d35e5b4f09020db03eab");
+      ("f0f1f2f3f4f5f6f7f8f9fafbfcfdff02", "f69f2445df4f9b17ad2b417be66c3710", "1e031dda2fbe03d1792170a0f3009cee");
+    ]
+
+let be64 b = String.init 8 (fun i -> Char.chr ((b lsr (8 * (7 - i))) land 0xff))
+
+(* Block b of the stream is data XOR E(nonce || be64 b). *)
+let test_ctr_counter_layout () =
+  let key = Aes.key_of_string "counter-layout-k" and nonce = "layout-n" in
+  let data = Worm_crypto.Drbg.generate (Worm_crypto.Drbg.create ~seed:"ctr-layout") (16 * 4096) in
+  let ct = Aes.ctr key ~nonce data in
+  List.iter
+    (fun b ->
+      let ks = Aes.encrypt_block key (nonce ^ be64 b) in
+      let want = String.init 16 (fun i -> Char.chr (Char.code data.[(16 * b) + i] lxor Char.code ks.[i])) in
+      Alcotest.(check string) (Printf.sprintf "block %d" b) (Hex.encode want) (Hex.encode (String.sub ct (16 * b) 16)))
+    [ 0; 1; 255; 256; 4095 ]
+
+let test_ctr_pooled_matches_sequential () =
+  let key = Aes.key_of_string "pooled-ctr-key!!" in
+  let drbg = Worm_crypto.Drbg.create ~seed:"ctr-pool" in
+  let inputs =
+    Array.init 32 (fun i -> (Printf.sprintf "nonce%03d" i, Worm_crypto.Drbg.generate drbg ((i * 517) mod 4099)))
+  in
+  let seal (nonce, data) = Aes.ctr key ~nonce data in
+  let pooled = Pool.with_pool ~domains:2 (fun pool -> Pool.parallel_map pool seal inputs) in
+  Alcotest.(check (array string)) "pooled = sequential" (Array.map seal inputs) pooled
+
+let key_gen = QCheck.Gen.string_size (QCheck.Gen.return 16)
+let nonce_gen = QCheck.Gen.string_size (QCheck.Gen.return 8)
+
+let ctr_equal k ~nonce data =
+  String.equal (Aes.ctr (Aes.key_of_string k) ~nonce data) (Ref_aes.ctr (Ref_aes.key_of_string k) ~nonce data)
+
+let prop_ctr_matches_reference =
+  QCheck.Test.make ~name:"ctr = reference, lengths 0-300" ~count:500
+    (QCheck.make QCheck.Gen.(triple key_gen nonce_gen (string_size (int_range 0 300))))
+    (fun (k, nonce, data) -> ctr_equal k ~nonce data)
+
+(* Each case checks every length around the 4 KiB block size and 64 KiB. *)
+let prop_ctr_matches_reference_large =
+  QCheck.Test.make ~name:"ctr = reference, lengths 4095-65536" ~count:4
+    (QCheck.make QCheck.Gen.(triple key_gen nonce_gen (string_size (return 65536))))
+    (fun (k, nonce, data) ->
+      List.for_all (fun n -> ctr_equal k ~nonce (String.sub data 0 n)) [ 4095; 4096; 4097; 65536 ])
+
+let prop_block_matches_reference =
+  QCheck.Test.make ~name:"encrypt_block = reference" ~count:500
+    (QCheck.make QCheck.Gen.(pair key_gen (string_size (return 16))))
+    (fun (k, block) ->
+      String.equal (Aes.encrypt_block (Aes.key_of_string k) block)
+        (Ref_aes.encrypt_block (Ref_aes.key_of_string k) block))
+
 (* ---------- the vault ---------- *)
 
 let vault_env () = fresh_env ~config:{ Worm.default_config with Worm.encrypt_at_rest = true } ()
@@ -71,6 +138,19 @@ let test_vault_nonce_separation () =
   let s3 = Vault.seal v ~sn:(Serial.of_int 1) ~index:1 "same plaintext" in
   Alcotest.(check bool) "sn separates" false (String.equal s1 s2);
   Alcotest.(check bool) "index separates" false (String.equal s1 s3)
+
+(* The nonce is the low 48 bits of the serial, then the 16-bit index,
+   both big-endian. *)
+let test_vault_nonce_layout () =
+  let k = "tenant-record-k!" in
+  let v = Vault.of_key k in
+  let sn = Serial.of_int64 0x1_0203_0405_0607L in
+  let data = String.init 40 Char.chr in
+  Alcotest.(check string) "seal = ctr under (sn48 || index16)"
+    (Hex.encode (Aes.ctr (Aes.key_of_string k) ~nonce:(Hex.decode "020304050607abcd") data))
+    (Hex.encode (Vault.seal v ~sn ~index:0xabcd data));
+  Alcotest.check_raises "index range" (Invalid_argument "Vault: block index out of range") (fun () ->
+      ignore (Vault.seal v ~sn ~index:0x10000 data))
 
 let test_platters_hold_ciphertext () =
   let env = vault_env () in
@@ -157,8 +237,12 @@ let suite =
     ("FIPS 197 vector", `Quick, test_fips197_vector);
     ("AES argument validation", `Quick, test_aes_arg_validation);
     ("CTR lengths", `Quick, test_ctr_lengths);
+    ("SP 800-38A F.5.1 CTR-AES128", `Quick, test_sp800_38a_ctr);
+    ("CTR counter layout", `Quick, test_ctr_counter_layout);
+    ("CTR pooled = sequential", `Quick, test_ctr_pooled_matches_sequential);
     ("vault key stable", `Quick, test_vault_key_stable);
     ("vault nonce separation", `Quick, test_vault_nonce_separation);
+    ("vault nonce layout", `Quick, test_vault_nonce_layout);
     ("platters hold ciphertext", `Quick, test_platters_hold_ciphertext);
     ("vault + host-hash maintenance", `Quick, test_vault_with_host_hash_and_maintenance);
     ("vault expiry", `Quick, test_vault_expiry_shreds_ciphertext);
@@ -167,6 +251,9 @@ let suite =
     ("vault + dedup rejected", `Quick, test_vault_dedup_rejected);
     QCheck_alcotest.to_alcotest prop_ctr_involution;
     QCheck_alcotest.to_alcotest prop_ctr_nonce_separates;
+    QCheck_alcotest.to_alcotest prop_ctr_matches_reference;
+    QCheck_alcotest.to_alcotest prop_ctr_matches_reference_large;
+    QCheck_alcotest.to_alcotest prop_block_matches_reference;
     QCheck_alcotest.to_alcotest prop_vault_roundtrip;
   ]
 
