@@ -494,14 +494,6 @@ let print_scaling ~quick ~env:_ =
             s.Sim.cs_bottleneck)
         r.Sim.cl_shard_rows)
     rows;
-  (* the old k-SCPUs-in-one-host projection, disk-corrected, for contrast *)
-  let projected = Sim.multi_scpu_scaling ~records ~seed:"bench-scaling" ~scpus_list:shards_list () in
-  Printf.printf "\nProjection (k SCPUs, one shared host, per-SCPU disks -- no router, no event loops):\n";
-  List.iter
-    (fun r ->
-      Printf.printf "%-8d %16.0f %9.2fx %18s\n" r.Sim.scpus r.Sim.aggregate_rps r.Sim.speedup
-        r.Sim.scaling_bottleneck)
-    projected;
   Printf.printf "\n(every measured row is gated: the aggregated freshness proof must verify and every\n\
                 \ global serial read back through the router must match the sequential single-store run)\n";
   if
@@ -551,18 +543,6 @@ let print_scaling ~quick ~env:_ =
                              r.Sim.cl_shard_rows) );
                     ])
                 rows) );
-         ( "projected",
-           Arr
-             (List.map
-                (fun r ->
-                  Obj
-                    [
-                      ("scpus", Int r.Sim.scpus);
-                      ("aggregate_rps", Float r.Sim.aggregate_rps);
-                      ("speedup", Float r.Sim.speedup);
-                      ("bottleneck", Str r.Sim.scaling_bottleneck);
-                    ])
-                projected) );
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -969,7 +949,7 @@ let print_readthroughput ~quick ~env:_ =
    encodings are canonical and signed, so encoding must be repeatable
    and re-encoding a decoded value must reproduce the bytes exactly.
    (Byte-identity against the retained seed codec is enforced separately
-   by bench/wire_smoke.ml and the QCheck oracle properties.) *)
+   by the QCheck oracle properties in test/test_util.ml.) *)
 
 module Message = Worm_proto.Message
 module Proto_server = Worm_proto.Server

@@ -84,13 +84,16 @@ let adaptive () =
     (Sim.adaptive_day (Lazy.force env) ())
 
 let scaling () =
-  hr "Multi-SCPU scaling";
-  Printf.printf "%-8s %16s %10s %12s\n" "SCPUs" "aggregate rec/s" "speedup" "bottleneck";
+  hr "Multi-SCPU scaling (measured N-shard cluster)";
+  Printf.printf "%-8s %16s %10s %18s %10s %10s\n" "shards" "aggregate rec/s" "speedup" "bottleneck" "proof"
+    "verdicts";
   List.iter
     (fun r ->
-      Printf.printf "%-8d %16.0f %9.2fx %12s\n" r.Sim.scpus r.Sim.aggregate_rps r.Sim.speedup
-        r.Sim.scaling_bottleneck)
-    (Sim.multi_scpu_scaling ~seed:"wormsim-scaling" ~scpus_list:[ 1; 2; 4; 8 ] ())
+      Printf.printf "%-8d %16.0f %9.2fx %11s@shard%d %10s %10s\n" r.Sim.cl_shards r.Sim.cl_aggregate_rps
+        r.Sim.cl_speedup r.Sim.cl_bottleneck r.Sim.cl_bottleneck_shard
+        (if r.Sim.cl_proof_ok && r.Sim.cl_global_current_ok then "verified" else "FAILED")
+        (if r.Sim.cl_fingerprint_match then "identical" else "DIVERGED"))
+    (Sim.cluster_scaling ~seed:"wormsim-scaling" ~shards_list:[ 1; 2; 4; 8 ] ())
 
 let ablation () =
   hr "Window vs Merkle update costs";

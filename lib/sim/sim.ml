@@ -231,69 +231,6 @@ let read_mix env ?(ops = 200) ~record_bytes () =
       })
     fractions
 
-type scaling_row = { scpus : int; aggregate_rps : float; speedup : float; scaling_bottleneck : string }
-
-let multi_scpu_scaling ?(strong_bits = 1024) ?(record_bytes = 1024) ?(records = 48) ~seed ~scpus_list () =
-  let rng = Drbg.create ~seed:("multi-scpu|" ^ seed) in
-  let ca = Rsa.generate rng ~bits:1024 in
-  let clk = Clock.create () in
-  let device_config = { Device.default_config with Device.strong_bits } in
-  let max_k = List.fold_left max 1 scpus_list in
-  (* one device pool reused across rows so keygen is paid once *)
-  let devices =
-    Array.init max_k (fun i ->
-        Device.provision
-          ~seed:(Printf.sprintf "%s-%d" seed i)
-          ~clock:clk ~ca ~config:device_config
-          ~name:(Printf.sprintf "scpu-%d" i)
-          ())
-  in
-  let run k =
-    (* Each SCPU owns its disk, as in the real cluster: a single shared
-       spindle would serialize k independent stores and misattribute
-       every disk-heavy row. The host column stays summed — this is the
-       paper's k-SCPUs-in-one-host projection, the measured counterpart
-       with per-shard hosts is [cluster_scaling]. *)
-    let disks = Array.init k (fun _ -> Disk.create ~latency:Disk.fast_latency ()) in
-    let config = { Worm.default_config with datasig_mode = Worm.Host_hash } in
-    let stores =
-      List.init k (fun i -> Worm.create ~config ~disk:disks.(i) ~device:devices.(i) ~ca:(Rsa.public_of ca) ())
-    in
-    Array.iter Device.reset_busy devices;
-    List.iter Worm.reset_host_busy stores;
-    Array.iter Disk.reset_busy disks;
-    let policy = Policy.of_regulation Policy.Sec17a4 in
-    let payloads = List.init records (fun _ -> Worm_workload.Workload.record rng ~bytes:record_bytes) in
-    List.iteri
-      (fun i blocks -> ignore (Worm.write (List.nth stores (i mod k)) ~policy ~blocks))
-      payloads;
-    let scpu_busy =
-      List.fold_left (fun acc i -> max acc (sec (Device.busy_ns devices.(i)))) 0. (List.init k Fun.id)
-    in
-    let host_busy = List.fold_left (fun acc store -> acc +. sec (Worm.host_busy_ns store)) 0. stores in
-    let disk_busy = Array.fold_left (fun acc d -> max acc (sec (Disk.busy_ns d))) 0. disks in
-    let slowest = max scpu_busy (max host_busy disk_busy) in
-    let bottleneck =
-      if slowest = scpu_busy then "scpu" else if slowest = host_busy then "host" else "disk"
-    in
-    (float_of_int records /. slowest, bottleneck)
-  in
-  let single_rps = ref None in
-  List.map
-    (fun k ->
-      let rps, bottleneck = run k in
-      let base =
-        match !single_rps with
-        | Some r -> r
-        | None ->
-            let r, _ = run 1 in
-            single_rps := Some r;
-            r
-      in
-      { scpus = k; aggregate_rps = rps; speedup = rps /. base; scaling_bottleneck = bottleneck })
-    scpus_list
-
-
 type storage_row = { stage : string; vrdt_bytes : int; entries : int; windows : int }
 
 let storage_reduction env ?(records = 400) ?(long_lived_every = 25) () =

@@ -141,22 +141,6 @@ val read_mix : env -> ?ops:int -> record_bytes:int -> unit -> read_mix_row list
     write-only; SCPU cost per operation scales with the write fraction
     and a read-heavy store runs at disk speed. *)
 
-type scaling_row = {
-  scpus : int;
-  aggregate_rps : float;
-  speedup : float;  (** relative to one SCPU *)
-  scaling_bottleneck : string;
-}
-
-val multi_scpu_scaling :
-  ?strong_bits:int -> ?record_bytes:int -> ?records:int -> seed:string -> scpus_list:int list -> unit -> scaling_row list
-(** §5: "These results naturally scale if multiple SCPUs are available."
-    Round-robin record ingest across k SCPU-backed stores, each with its
-    own disk, all sharing one host CPU; aggregate throughput is limited
-    by the busiest resource. This is a projection (k stores driven in a
-    plain loop, host cost summed); {!cluster_scaling} is the measured
-    counterpart that drives a real {!Worm_cluster.Shard_router}. *)
-
 type cluster_shard_row = {
   cs_shard : int;
   cs_records : int;
@@ -197,7 +181,8 @@ val cluster_scaling :
   shards_list:int list ->
   unit ->
   cluster_row list
-(** Measured multi-SCPU scaling: for each N in [shards_list], provision
+(** §5: "These results naturally scale if multiple SCPUs are available."
+    Measured multi-SCPU scaling: for each N in [shards_list], provision
     a real N-shard {!Worm_cluster.Shard_router} (independent SCPU +
     disk + host ledger per shard), mount one batching
     {!Worm_proto.Event_server} per shard over its

@@ -5,8 +5,7 @@
    way and can hand out [(string, pos, len)] slices instead of
    [String.sub] copies. Encodings are canonical and signed — the byte
    format here must stay bit-identical to test/support/ref_codec.ml,
-   the retained seed codec that tests and the wire smoke compare
-   against. *)
+   the retained seed codec that tests compare against. *)
 
 type encoder = { mutable buf : Bytes.t; mutable len : int }
 

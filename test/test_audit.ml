@@ -42,11 +42,13 @@ let record_finding (r : Report.t) sn =
 let test_clean_scrub_populated_store () =
   (* Every proof shape at once: live records, per-SN deletion proofs
      collapsed into a window, a litigation hold, a journal with SCPU
-     anchors. The scrub must cover the full SN space and stay silent. *)
+     anchors, a multi-block record with a full 4 KB block. The scrub
+     must cover the full SN space and stay silent. *)
   let config = { Worm.default_config with Worm.journal = true } in
   let env = fresh_env ~config () in
   let long = short_policy ~retention_s:10_000. () in
   ignore (Worm.write env.store ~policy:long ~blocks:[ "anchor" ]);
+  ignore (Worm.write env.store ~policy:long ~blocks:[ String.init 4096 (fun i -> Char.chr (i * 31 land 0xff)); "k" ]);
   ignore (write_n env ~retention_s:10. 6);
   let held = Worm.write env.store ~policy:long ~blocks:[ "under hold" ] in
   let authority = fresh_authority env in
@@ -63,7 +65,7 @@ let test_clean_scrub_populated_store () =
   let report = Scrubber.run_pass (scrubber env) in
   Alcotest.(check (list string)) "no findings" [] (cls_names report);
   Alcotest.(check bool) "clean" true (Report.clean report);
-  Alcotest.(check int) "full SN coverage" 8 report.Report.records_scanned
+  Alcotest.(check int) "full SN coverage" 9 report.Report.records_scanned
 
 (* ---------- single-fault injections ---------- *)
 

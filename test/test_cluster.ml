@@ -208,52 +208,67 @@ let test_epoch_coherence_across_shard_compactions () =
 let test_kill_fence_recover_rescrub () =
   let router, clock = fresh_router ~shards:2 ~mirrored:true () in
   let records = 8 in
-  let before =
-    let sns = List.init records (fun i -> write_exn router [ Printf.sprintf "r%d" i ]) in
+  let read_all () =
     let verifiers = Router.verifiers router in
-    List.map (fun g -> fp (Router.verify_read router verifiers g (Router.read router g))) sns
-  in
-  Router.kill router 1;
-  Alcotest.(check (list int)) "probe names the dead shard" [ 1 ] (Router.probe router);
-  (match Router.fence router 1 with Ok () -> () | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "fenced shard refuses its stripe" true
-    (match Router.write router ~policy:(short_policy ()) ~blocks:[ "x" ] with
-    | Error _ -> true
-    | Ok sn -> Partition.shard_of ~shards:2 sn <> 1);
-  (match Router.recover router 1 with
-  | Ok r -> Alcotest.(check int) "resync rebuilt the stripe" (records / 2) r.Router.resynced
-  | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "shard active again" true (Router.shard_state router 1 = Router.Active);
-  let after =
-    let verifiers = Router.verifiers router in
-    List.map
-      (fun i ->
+    List.init records (fun i ->
         let g = Serial.of_int (i + 1) in
         fp (Router.verify_read router verifiers g (Router.read router g)))
-      (List.init records Fun.id)
   in
-  Alcotest.(check (list string)) "promoted store serves identical content" before after;
+  List.iter (fun i -> ignore (write_exn router [ Printf.sprintf "r%d" i ])) (List.init records Fun.id);
+  let before = read_all () in
+  (* the next global serial, records + 1, is on stripe 0: kill that one
+     so the fenced write below really lands on the fenced stripe *)
+  Alcotest.(check int) "next serial is on the shard to kill" 0
+    (Partition.shard_of ~shards:2 (Serial.of_int (records + 1)));
+  Router.kill router 0;
+  Alcotest.(check (list int)) "probe names the dead shard" [ 0 ] (Router.probe router);
+  (match Router.fence router 0 with Ok () -> () | Error e -> Alcotest.fail e);
+  Alcotest.(check (list string)) "fenced reads served off the mirror" before (read_all ());
+  (match Router.write router ~policy:(short_policy ()) ~blocks:[ "x" ] with
+  | Error _ -> ()
+  | Ok sn -> Alcotest.failf "fenced stripe accepted a write as serial %d" (Serial.to_int sn));
+  (match Router.recover router 0 with
+  | Ok r ->
+      Alcotest.(check int) "resync rebuilt the stripe" (records / 2) r.Router.resynced;
+      Alcotest.(check bool) "replacement mirror is a fresh SCPU" true (r.Router.new_mirror_id <> "")
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "shard active again" true (Router.shard_state router 0 = Router.Active);
+  Alcotest.(check (list string)) "promoted store serves identical content" before (read_all ());
+  let resumed = write_exn router [ "post-failover" ] in
+  Alcotest.(check int) "ingest resumes on the promoted stripe" (records + 1) (Serial.to_int resumed);
+  let proof = proof_exn router in
+  (match Cluster_proof.verify ~ca:(ca_pub ()) ~now:(Clock.now clock) proof with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  (match Cluster_proof.global_current proof with
+  | Ok g -> Alcotest.(check int) "post-failover global bound" (Serial.to_int resumed) (Serial.to_int g)
+  | Error e -> Alcotest.fail e);
   (* the rebuilt mirror holds fresh serials: a second zeroization of the
      same shard is outside the verified contract and must say so *)
-  Router.kill router 1;
-  (match Router.fence router 1 with Ok () -> () | Error e -> Alcotest.fail e);
-  (match Router.recover router 1 with
+  Router.kill router 0;
+  (match Router.fence router 0 with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Router.recover router 0 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "second failover of a rebuilt mirror must be refused");
-  ignore clock;
   (* scrub-ability after the *first* failover is the part the cluster
      guarantees; rebuild a healthy router state for it *)
   let router2, _ = fresh_router ~shards:2 ~mirrored:true () in
   for i = 1 to records do
     ignore (write_exn router2 [ Printf.sprintf "s%d" i ])
   done;
+  let check_clean_scrub label =
+    let outcome = Cluster_scrub.run router2 in
+    let merged = outcome.Cluster_scrub.merged in
+    Alcotest.(check (list int)) (label ^ " scrub covers every shard") [] outcome.Cluster_scrub.skipped;
+    Alcotest.(check bool) (label ^ " scrub completes") true merged.Report.pass_complete;
+    Alcotest.(check int) (label ^ " scrub is clean") 0 (List.length merged.Report.findings);
+    Alcotest.(check bool) (label ^ " scrub scanned the global space") true (merged.Report.records_scanned >= records)
+  in
+  check_clean_scrub "pre-failover";
   Router.kill router2 0;
   (match Router.fence router2 0 with Ok () -> () | Error e -> Alcotest.fail e);
   (match Router.recover router2 0 with Ok _ -> () | Error e -> Alcotest.fail e);
-  let outcome = Cluster_scrub.run router2 in
-  Alcotest.(check bool) "post-failover scrub completes" true outcome.Cluster_scrub.merged.Report.pass_complete;
-  Alcotest.(check int) "post-failover scrub is clean" 0
-    (List.length outcome.Cluster_scrub.merged.Report.findings)
+  check_clean_scrub "post-failover"
 
 let test_fenced_shard_degrades_scrub_honestly () =
   let router, _clock = fresh_router ~shards:2 ~mirrored:false () in

@@ -159,11 +159,27 @@ let test_digest_sub_and_into () =
   Alcotest.(check string) "digest_parts" (Sha256.digest "abcdef") (Sha256.digest_parts [ "ab"; ""; "cdef" ])
 
 (* The production cores must agree with the retained reference
-   implementation on arbitrary inputs, not just the FIPS vectors. *)
+   implementation on arbitrary inputs, not just the FIPS vectors: one
+   shot, streamed through feed_sub at a random stride, over a suffix at
+   an unaligned offset, and split into parts. *)
 let prop_matches_reference =
-  QCheck.Test.make ~name:"unsafe cores = reference implementation" ~count:300 QCheck.string (fun s ->
-      String.equal (Sha256.digest s) (Worm_testkit.Ref_hash.Sha256.digest s)
-      && String.equal (Sha1.digest s) (Worm_testkit.Ref_hash.Sha1.digest s))
+  QCheck.Test.make ~name:"unsafe cores = reference implementation" ~count:300
+    QCheck.(pair string (int_range 1 131))
+    (fun (s, stride) ->
+      let module R = Worm_testkit.Ref_hash in
+      let n = String.length s and cut = String.length s / 3 in
+      let ctx = Sha256.init () and ctx1 = Sha1.init () in
+      for i = 0 to (n - 1) / stride do
+        let pos = i * stride in
+        Sha256.feed_sub ctx s ~pos ~len:(min stride (n - pos));
+        Sha1.feed_sub ctx1 s ~pos ~len:(min stride (n - pos))
+      done;
+      Sha256.digest s = R.Sha256.digest s
+      && Sha1.digest s = R.Sha1.digest s
+      && Sha256.get ctx = R.Sha256.digest s
+      && Sha1.get ctx1 = R.Sha1.digest s
+      && Sha256.digest_sub s ~pos:cut ~len:(n - cut) = R.Sha256.digest (String.sub s cut (n - cut))
+      && Sha256.digest_parts [ String.sub s 0 cut; String.sub s cut (n - cut) ] = R.Sha256.digest s)
 
 let prop_digest_many_is_map =
   QCheck.Test.make ~name:"digest_many = map digest" ~count:50

@@ -175,6 +175,9 @@ let test_parallel_verify_identical () =
   let check name verdicts = Alcotest.(check bool) name true (verdicts = reference) in
   check "verify_read_many without pool" (Client.verify_read_many sequential_client items);
   check "cached client, no pool" (Client.verify_read_many env.client items);
+  (match Client.verify_cache_stats env.client with
+  | Some s -> Alcotest.(check bool) "one pass already hits the cache" true (s.Client.cache_hits > 0)
+  | None -> Alcotest.fail "verify cache unexpectedly disabled");
   List.iter
     (fun domains ->
       Pool.with_pool ~domains (fun pool ->

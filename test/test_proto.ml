@@ -30,11 +30,22 @@ let test_request_codec () =
       Message.Read (Serial.of_int 42);
       Message.Read_many [ Serial.of_int 1; Serial.of_int 2 ];
       Message.Audit_slice { cursor = Serial.of_int 9; max = 64 };
+      Message.Write { policy = short_policy (); tenant = "acme"; blocks = [ "a"; "" ] };
+      Message.Cluster_hello;
+      Message.Cluster_read (Serial.of_int 3);
+      Message.Cluster_read_many [ Serial.of_int 1; Serial.of_int 4 ];
+      Message.Cluster_proof_get;
+      Message.Erase_tenant "acme";
+      Message.Erasure_cert_get "acme";
     ]
   in
   List.iter
     (fun r ->
-      match Message.decode_request (Message.encode_request r) with
+      let bytes = Message.encode_request r in
+      (* Event_server bills the network by this length without encoding *)
+      Alcotest.(check int) ("wire length: " ^ Message.describe_request r) (String.length bytes)
+        (Message.request_wire_length r);
+      match Message.decode_request bytes with
       | Ok r' -> Alcotest.(check bool) "roundtrip" true (r = r')
       | Error e -> Alcotest.fail e)
     cases;
@@ -71,7 +82,35 @@ let test_response_codec_all_proof_shapes () =
             encoded
             (Codec.encode Message.encode_read_response response')
       | Error e -> Alcotest.fail e)
-    shapes
+    shapes;
+  (* whole messages through the server's encode-once memo, each taken
+     twice so the memo is both cold and warm: memo bytes equal the plain
+     encoding, re-encode canonically, and match the lengths Event_server
+     bills the network by without encoding *)
+  let server = Server.create env.store in
+  Server.refresh server;
+  let responses =
+    List.map (fun response -> Message.Read_reply { sn = live; response }) shapes
+    @ List.map (Server.handle server)
+        [
+          Message.Hello;
+          Message.Read_many (Serial.range Serial.first live);
+          Message.Audit_slice { cursor = Serial.first; max = 64 };
+        ]
+  in
+  List.iter
+    (fun response ->
+      let name = Message.describe_response response in
+      let plain = Message.encode_response response in
+      let memo = Server.encode_response server response in
+      Alcotest.(check string) ("memo bytes: " ^ name) plain memo;
+      Alcotest.(check int) ("wire length: " ^ name) (String.length plain) (Message.response_wire_length response);
+      Alcotest.(check int) ("server wire length: " ^ name) (String.length memo)
+        (Server.response_wire_length server response);
+      match Message.decode_response plain with
+      | Ok response' -> Alcotest.(check string) ("canonical: " ^ name) plain (Message.encode_response response')
+      | Error e -> Alcotest.fail e)
+    (responses @ responses)
 
 let test_verdict_survives_serialization () =
   (* verifying a decoded response gives the same verdict as the local one *)
