@@ -737,8 +737,17 @@ let print_local ~quick ~env:_ =
   let r1024 = sign_rate key1024 in
   let h1k = hash_rate block_1k 1024 in
   let h64k = hash_rate block_64k 65536 in
+  (* Fixed seeds: every run searches the same candidates, so the time is
+     the key-generation cost behind a store's set-up, not luck. *)
+  let keygen_s bits =
+    let seed = Printf.sprintf "bench-local|keygen-%d" bits in
+    time_per_op ~min_time_s:budget ~min_iters:2 (fun () -> Rsa.generate (Drbg.create ~seed) ~bits)
+  in
+  let kg512 = keygen_s 512 in
+  let kg1024 = keygen_s 1024 in
   Printf.printf "measured: rsa-512 %.0f sig/s, rsa-1024 %.0f sig/s, sha256 %.1f / %.1f MB/s\n" r512 r1024
     (h1k /. 1e6) (h64k /. 1e6);
+  Printf.printf "measured: fixed-seed keygen rsa-512 %.3f s, rsa-1024 %.3f s\n" kg512 kg1024;
   let profile =
     Cost_model.of_measurements ~name:"this host"
       ~rsa_sign_anchors:[ (512, r512); (1024, r1024) ]
@@ -763,6 +772,8 @@ let print_local ~quick ~env:_ =
                ("rsa_1024_sign_per_sec", Float r1024);
                ("sha256_1k_bytes_per_sec", Float h1k);
                ("sha256_64k_bytes_per_sec", Float h64k);
+               ("rsa_512_keygen_s", Float kg512);
+               ("rsa_1024_keygen_s", Float kg1024);
              ] );
          ("rows", Arr (List.map json_of_measurement rows));
        ])

@@ -211,6 +211,16 @@ let divmod (a : t) (b : t) =
 let div a b = fst (divmod a b)
 let modulo a b = snd (divmod a b)
 
+(* Horner over the limbs, most significant first: with r < d < 2^31 the
+   step value r * 2^31 + limb stays below 2^62, inside a native int. *)
+let rem_int (a : t) d =
+  if d < 1 || d > base_mask then invalid_arg "Nat.rem_int: divisor outside [1, 2^31)";
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl base_bits) lor Array.unsafe_get a i) mod d
+  done;
+  !r
+
 let rec gcd a b = if is_zero b then a else gcd b (modulo a b)
 
 (* Signed values for the extended Euclid coefficient: (negative?, magnitude). *)
@@ -430,6 +440,19 @@ let mont_sqr ctx (dst : int array) (a : int array) =
     done
   end;
   mont_reduce_scratch ctx dst
+
+(* Two CIOS multiplies: a*b/R, then times R^2 to cancel the R^-1. With
+   a, b < m every intermediate stays below 2m, so the result is fully
+   reduced and no long division is needed. *)
+let mod_mul ctx (a : t) (b : t) =
+  if compare a ctx.m >= 0 || compare b ctx.m >= 0 then invalid_arg "Nat.mod_mul: operand not below the modulus";
+  let n = ctx.limbs in
+  let acc = Array.make n 0 and bw = Array.make n 0 in
+  Array.blit a 0 acc 0 (Array.length a);
+  Array.blit b 0 bw 0 (Array.length b);
+  mont_mul ctx acc acc bw;
+  mont_mul ctx acc acc ctx.r2;
+  normalize acc
 
 (* Fixed 4-bit windows: 4 squarings plus at most one table multiply per
    window, a ~17% multiply saving over binary square-and-multiply at RSA

@@ -47,6 +47,12 @@ val divmod : t -> t -> t * t
 val div : t -> t -> t
 val modulo : t -> t -> t
 
+val rem_int : t -> int -> int
+(** [rem_int a d] is [a mod d] for a one-limb divisor, in one pass over
+    the limbs with no bignum allocation — the trial-division sieve of
+    key generation.
+    @raise Invalid_argument unless [1 <= d < 2^31]. *)
+
 val bit_length : t -> int
 (** Number of significant bits; [bit_length zero = 0]. *)
 
@@ -93,6 +99,11 @@ val mod_pow_ctx : mont -> base:t -> exp:t -> t
 (** [mod_pow_ctx ctx ~base ~exp] is [base^exp mod (mont_modulus ctx)]
     through the fused-CIOS fast path, with no per-call setup — the
     signing hot path for cached per-key contexts. *)
+
+val mod_mul : mont -> t -> t -> t
+(** [mod_mul ctx a b] is [a * b mod (mont_modulus ctx)], computed as two
+    fused-CIOS multiplies (the second by [R^2]) with no long division.
+    @raise Invalid_argument unless both operands are below the modulus. *)
 
 val mod_pow_generic : base:t -> exp:t -> modulus:t -> t
 (** Reference square-and-multiply implementation (no Montgomery forms,

@@ -6,22 +6,18 @@ let small_primes =
   ]
 
 let divisible_by_small n =
-  List.exists
-    (fun p ->
-      let p_nat = Nat.of_int p in
-      Nat.is_zero (Nat.modulo n p_nat) && not (Nat.equal n p_nat))
-    small_primes
+  List.exists (fun p -> Nat.rem_int n p = 0 && not (Nat.equal n (Nat.of_int p))) small_primes
 
-let miller_rabin_round n ~d ~s a =
+let miller_rabin_round ctx ~d ~s a =
   (* n-1 = d * 2^s with d odd; witness a in [2, n-2] *)
-  let x = ref (Nat.mod_pow ~base:a ~exp:d ~modulus:n) in
-  let n1 = Nat.pred n in
+  let x = ref (Nat.mod_pow_ctx ctx ~base:a ~exp:d) in
+  let n1 = Nat.pred (Nat.mont_modulus ctx) in
   if Nat.is_one !x || Nat.equal !x n1 then true
   else begin
     let rec squares i =
       if i >= s - 1 then false
       else begin
-        x := Nat.mod_pow ~base:!x ~exp:Nat.two ~modulus:n;
+        x := Nat.mod_pow_ctx ctx ~base:!x ~exp:Nat.two;
         if Nat.equal !x n1 then true else squares (i + 1)
       end
     in
@@ -40,13 +36,16 @@ let is_probably_prime ?(rounds = 20) rng n =
     let rec split d s = if Nat.is_even d then split (Nat.shift_right d 1) (s + 1) else (d, s) in
     let d, s = split n1 0 in
     let n3 = Nat.sub n (Nat.of_int 3) in
+    (* One Montgomery context per candidate: its setup is the only long
+       division the rounds pay. *)
+    let ctx = Nat.mont_init n in
     let rec rounds_loop i =
       if i >= rounds then true
       else begin
         let a = Nat.add Nat.two (Drbg.nat_below rng (Nat.succ n3)) in
         (* a in [2, n-1]; clamp n-1 (which always passes) down to n-2 *)
         let a = if Nat.equal a n1 then Nat.two else a in
-        if miller_rabin_round n ~d ~s a then rounds_loop (i + 1) else false
+        if miller_rabin_round ctx ~d ~s a then rounds_loop (i + 1) else false
       end
     in
     rounds_loop 0

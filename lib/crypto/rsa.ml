@@ -58,10 +58,12 @@ let raw_apply_secret sk m =
   let m = Nat.modulo m sk.pub.n in
   let m1 = Nat.mod_pow_ctx sk.mont_p ~base:m ~exp:sk.dp in
   let m2 = Nat.mod_pow_ctx sk.mont_q ~base:m ~exp:sk.dq in
-  (* h = qinv * (m1 - m2) mod p, with the subtraction lifted above zero *)
-  let m2_mod_p = Nat.modulo m2 sk.p in
-  let diff = Nat.modulo (Nat.sub (Nat.add m1 sk.p) m2_mod_p) sk.p in
-  let h = Nat.modulo (Nat.mul sk.qinv diff) sk.p in
+  (* h = qinv * (m1 - m2) mod p. Both residues are below p (m2 < q < p),
+     so m1 + p - m2 lies in (0, 2p) and one conditional subtract reduces
+     it; the product then goes through the cached context, division-free. *)
+  let diff = Nat.sub (Nat.add m1 sk.p) m2 in
+  let diff = if Nat.compare diff sk.p >= 0 then Nat.sub diff sk.p else diff in
+  let h = Nat.mod_mul sk.mont_p sk.qinv diff in
   Nat.add m2 (Nat.mul h sk.q)
 
 (* [public] is a transparent record, so verification contexts live in a

@@ -145,6 +145,14 @@ let encode_response t response =
     end
   | _ -> Message.encode_response ~read_response:(Server.memo_read_response t.read_memo) response
 
+(* The cluster vocabulary's counterpart of [Server.serves_bound]: only
+   routed reads and the freshness proof hand out shard bounds. *)
+let serves_bound = function
+  | Message.Cluster_read _ | Message.Cluster_read_many _ | Message.Cluster_proof_get -> true
+  | Message.Cluster_hello | Message.Write _ | Message.Erase_tenant _ | Message.Erasure_cert_get _ | Message.Hello
+  | Message.Read _ | Message.Read_many _ | Message.Audit_slice _ ->
+      false
+
 let handle_bytes t bytes =
   match Message.decode_request bytes with
   | Error e -> Message.encode_response (Message.Protocol_error e)
@@ -154,7 +162,7 @@ let handle_bytes t bytes =
          and a device fault mid-refresh must degrade to a protocol
          error, not kill the dispatcher. *)
       match
-        refresh t;
+        if serves_bound request then refresh t;
         encode_response t (handle t request)
       with
       | reply -> reply

@@ -36,8 +36,9 @@ val handle : t -> Message.request -> Message.response
     certificates it is verifying against. *)
 
 val handle_bytes : t -> string -> string
-(** Decode → refresh shard bounds → dispatch → encode; total on
-    adversarial input, like {!Server.handle_bytes}. *)
+(** Decode → refresh shard bounds (before [Cluster_read],
+    [Cluster_read_many] and [Cluster_proof_get] only) → dispatch →
+    encode; total on adversarial input, like {!Server.handle_bytes}. *)
 
 val encode_response : t -> Message.response -> string
 (** Encode through the cluster's encode-once caches: the aggregated

@@ -195,12 +195,25 @@ let handle t = function
          clients a freshness proof with the wrong trust story. *)
       Message.Protocol_error "cluster request sent to a single-store server"
 
+(* Whether the reply to a request can carry a signed bound, and so needs
+   a fresh one. No wildcard: a new request kind has to choose. A write
+   burst leaves the bound stale; the first bound-carrying request after
+   it heals that exactly as a per-request refresh would have (at an
+   unchanged clock, to the same bytes), while each write pays only its
+   own witness signatures. *)
+let serves_bound = function
+  | Message.Read _ | Message.Read_many _ | Message.Audit_slice _ -> true
+  | Message.Hello | Message.Write _ | Message.Erase_tenant _ | Message.Erasure_cert_get _ | Message.Cluster_hello
+  | Message.Cluster_read _ | Message.Cluster_read_many _ | Message.Cluster_proof_get ->
+      false
+
 (* The server must stay total on adversarial input: nothing a client
    sends may crash the dispatcher — a fault-injecting transport (see
    {!Faulty}) replays and mangles requests freely. Bound staleness is
-   healed by [refresh] before dispatch; [refresh] is convergent (a
-   second call at the same store state does nothing), so replayed bytes
-   still re-serve identical replies for the read/audit vocabulary. *)
+   healed by [refresh] before every bound-carrying dispatch; [refresh]
+   is convergent (a second call at the same store state does nothing),
+   so replayed bytes still re-serve identical replies for the read/audit
+   vocabulary. *)
 let handle_bytes t bytes =
   match Message.decode_request bytes with
   | Error e -> Message.encode_response (Message.Protocol_error e)
@@ -209,7 +222,7 @@ let handle_bytes t bytes =
          a device fault (ledger exhaustion, clock refusal) mid-refresh
          must degrade to a protocol error, not kill the dispatcher. *)
       match
-        refresh t;
+        if serves_bound request then refresh t;
         encode_response t (handle t request)
       with
       | reply -> reply

@@ -27,7 +27,8 @@ val refresh : t -> unit
     past the cached current bound. This is the {e only} place the serve
     path spends SCPU signatures; it is convergent — a second call at the
     same store state does nothing. {!handle_bytes} calls it before every
-    dispatch; the event server calls it once per batch. *)
+    request whose reply can carry a signed bound ([Read], [Read_many],
+    [Audit_slice]); the event server calls it once per batch. *)
 
 val handle : t -> Message.request -> Message.response
 (** Dispatch one request. For the read/audit vocabulary this is a pure
@@ -38,7 +39,10 @@ val handle : t -> Message.request -> Message.response
     each dispatch allocates a fresh serial. *)
 
 val handle_bytes : t -> string -> string
-(** Decode, {!refresh}, dispatch, encode; malformed requests produce an
+(** Decode, {!refresh} (bound-carrying requests only), dispatch, encode.
+    A [Write] signs only its own witnesses: the bound it leaves stale is
+    healed by the next read or audit slice, which serves the same bytes
+    a per-request refresh would have. Malformed requests produce an
     encoded [Protocol_error], and so does a dispatch that raises —
     adversarial bytes never crash the server. For non-[Write] requests a
     byte-for-byte replay re-serves the identical reply, so a duplicating

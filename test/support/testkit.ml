@@ -23,16 +23,18 @@ type env = {
   disk : Disk.t;
 }
 
-let fresh_env ?(config = Worm.default_config) ?(device_config = Device.test_config) ?(disk_latency = Disk.zero_latency) () =
+(* [seed] names the device; two environments built from one seed are
+   the same store (keys, store id) on separate clocks. *)
+let fresh_env ?seed ?(config = Worm.default_config) ?(device_config = Device.test_config)
+    ?(disk_latency = Disk.zero_latency) () =
   incr counter;
-  let clock = Clock.create () in
-  let device =
-    Device.provision
-      ~seed:(Printf.sprintf "env-%d" !counter)
-      ~clock ~ca:(Lazy.force ca) ~config:device_config
-      ~name:(Printf.sprintf "scpu-%d" !counter)
-      ()
+  let seed, name =
+    match seed with
+    | Some s -> (s, "scpu-" ^ s)
+    | None -> (Printf.sprintf "env-%d" !counter, Printf.sprintf "scpu-%d" !counter)
   in
+  let clock = Clock.create () in
+  let device = Device.provision ~seed ~clock ~ca:(Lazy.force ca) ~config:device_config ~name () in
   let disk = Disk.create ~latency:disk_latency () in
   let store = Worm.create ~config ~disk ~device ~ca:(ca_pub ()) () in
   let client = Client.for_store ~ca:(ca_pub ()) ~clock store in

@@ -16,7 +16,7 @@ module Report = Worm_audit.Report
 module Message = Worm_proto.Message
 module Cluster_server = Worm_proto.Cluster_server
 
-let fresh_router ?(shards = 2) ?(mirrored = true) () =
+let fresh_router ?seed ?(shards = 2) ?(mirrored = true) () =
   let clock = Clock.create () in
   let config =
     {
@@ -27,7 +27,7 @@ let fresh_router ?(shards = 2) ?(mirrored = true) () =
       disk_latency = Disk.zero_latency;
     }
   in
-  let seed = Printf.sprintf "cluster-%d" (incr counter; !counter) in
+  let seed = match seed with Some s -> s | None -> Printf.sprintf "cluster-%d" (incr counter; !counter) in
   (Router.create ~config ~seed ~ca:(Lazy.force ca) ~clock (), clock)
 
 let write_exn router ?(policy = short_policy ~retention_s:10_000. ()) blocks =
@@ -363,6 +363,45 @@ let test_cluster_server_routes_and_survives_failover () =
       | v -> Alcotest.fail (Client.verdict_name v))
   | r -> Alcotest.fail (Message.describe_response r)
 
+(* The front end refreshes shard bounds only before routed reads and the
+   freshness proof. Against a twin front end (same seed, same clock
+   schedule) that refreshes every shard before every request, every
+   reply is byte-identical and the lazy one signs fewer bounds. *)
+let test_cluster_lazy_refresh_serves_identical_bytes () =
+  let twin () =
+    let router, clock = fresh_router ~seed:"cluster-lazy-refresh-twin" () in
+    (router, clock, Cluster_server.create router)
+  in
+  let (router_l, clock_l, lazy_), (router_e, clock_e, eager) = (twin (), twin ()) in
+  let shards = List.init (Router.shard_count router_l) Fun.id in
+  let strong_signs router =
+    List.fold_left
+      (fun acc i ->
+        match Router.serving_store router i with
+        | Some store -> acc + (Device.stats (Firmware.device (Worm.firmware store))).Device.strong_signs
+        | None -> acc)
+      0 shards
+  in
+  let policy = short_policy ~retention_s:10_000. () in
+  let w b = Some (Message.Write { policy; tenant = ""; blocks = [ b ] }) in
+  let read i = Some (Message.Cluster_read (Serial.of_int i)) in
+  let script =
+    [ w "a"; w "b"; w "c"; w "d"; read 5; read 2; Some Message.Cluster_proof_get; None; w "e"; w "f"; w "g";
+      Some (Message.Cluster_read_many (List.init 8 (fun i -> Serial.of_int (i + 1)))); w "h";
+      Some Message.Cluster_proof_get; w "i"; read 3; Some Message.Cluster_proof_get ]
+  in
+  List.iter
+    (function
+      | None -> List.iter (fun clock -> Clock.advance clock (Clock.ns_of_sec 70.)) [ clock_l; clock_e ]
+      | Some request ->
+          let bytes = Message.encode_request request in
+          let l = Cluster_server.handle_bytes lazy_ bytes in
+          List.iter (fun i -> Option.iter Worm_proto.Server.refresh (Cluster_server.shard_server eager i)) shards;
+          let e = Cluster_server.handle_bytes eager bytes in
+          Alcotest.(check string) ("same bytes: " ^ Message.describe_request request) e l)
+    script;
+  Alcotest.(check bool) "fewer bound signatures" true (strong_signs router_l < strong_signs router_e)
+
 let suite =
   [
     ("partition roundtrip (qcheck)", `Quick, fun () -> QCheck.Test.check_exn prop_partition_roundtrip);
@@ -376,6 +415,7 @@ let suite =
     ("fenced shard degrades scrub honestly", `Quick, test_fenced_shard_degrades_scrub_honestly);
     ("cluster message codecs", `Quick, test_cluster_message_codecs);
     ("cluster server routes across failover", `Quick, test_cluster_server_routes_and_survives_failover);
+    ("cluster lazy refresh serves identical bytes", `Quick, test_cluster_lazy_refresh_serves_identical_bytes);
   ]
 
 let () = Alcotest.run "worm_cluster" [ ("cluster", suite) ]

@@ -128,6 +128,51 @@ let test_mont_ctx () =
     (Nat.mod_pow_ctx ctx ~base:(Nat.mul m (Nat.of_int 7)) ~exp:(Nat.of_int 5));
   Alcotest.check nat "ctx zero exponent" Nat.one (Nat.mod_pow_ctx ctx ~base:(Nat.of_int 42) ~exp:Nat.zero)
 
+(* Odd moduli of 64-2048 bits with operands below them, biased toward
+   the edges 0 and m - 1. *)
+let arb_mod_mul_case =
+  let open QCheck.Gen in
+  let gen =
+    map
+      (fun (seed, bits, pick_a, pick_b) ->
+        let rng = Drbg.create ~seed in
+        let m = Drbg.nat_bits rng bits in
+        let m = if Nat.test_bit m (bits - 1) then m else Nat.add m (Nat.shift_left Nat.one (bits - 1)) in
+        let m = if Nat.is_even m then Nat.succ m else m in
+        let operand = function 0 -> Nat.zero | 1 -> Nat.pred m | _ -> Drbg.nat_below rng m in
+        (m, operand pick_a, operand pick_b))
+      (quad (string_size (return 8)) (int_range 64 2048) (int_bound 5) (int_bound 5))
+  in
+  QCheck.make ~print:(fun (m, a, b) -> String.concat "," (List.map Nat.to_decimal [ m; a; b ])) gen
+
+let prop_mod_mul =
+  t "mod_mul agrees with mul then modulo" arb_mod_mul_case (fun (m, a, b) ->
+      Nat.equal (Nat.mod_mul (Nat.mont_init m) a b) (Nat.modulo (Nat.mul a b) m))
+
+let test_mod_mul_edges () =
+  let m = Nat.of_int 1_000_000_007 in
+  let ctx = Nat.mont_init m in
+  Alcotest.check nat "(m-1)^2 = 1" Nat.one (Nat.mod_mul ctx (Nat.pred m) (Nat.pred m));
+  Alcotest.check nat "zero operand" Nat.zero (Nat.mod_mul ctx Nat.zero (Nat.pred m));
+  Alcotest.check_raises "operand = m" (Invalid_argument "Nat.mod_mul: operand not below the modulus") (fun () ->
+      ignore (Nat.mod_mul ctx m Nat.one))
+
+let prop_rem_int =
+  t "rem_int agrees with modulo" (QCheck.pair arb_nat (QCheck.int_range 1 0x7FFFFFFF)) (fun (a, d) ->
+      Nat.rem_int a d = Nat.to_int (Nat.modulo a (Nat.of_int d)))
+
+let test_rem_int_edges () =
+  let a = Nat.pred (Nat.shift_left Nat.one 600) in
+  List.iter
+    (fun d -> Alcotest.(check int) (string_of_int d) (Nat.to_int (Nat.modulo a (Nat.of_int d))) (Nat.rem_int a d))
+    [ 1; 2; 3; 251; 65537; 0x7FFFFFFE; 0x7FFFFFFF ];
+  Alcotest.(check int) "zero dividend" 0 (Nat.rem_int Nat.zero 7);
+  List.iter
+    (fun d ->
+      Alcotest.check_raises (string_of_int d) (Invalid_argument "Nat.rem_int: divisor outside [1, 2^31)") (fun () ->
+          ignore (Nat.rem_int a d)))
+    [ 0; -3; 0x80000000 ]
+
 let prop_mod_inverse =
   t "mod_inverse correct" arb_pair (fun (a, m) ->
       QCheck.assume (Nat.compare m Nat.two > 0);
@@ -199,6 +244,10 @@ let suite =
     ("montgomery context", `Quick, test_mont_ctx);
     QCheck_alcotest.to_alcotest prop_ctx_agrees_generic;
     QCheck_alcotest.to_alcotest prop_ctx_reuse;
+    QCheck_alcotest.to_alcotest prop_mod_mul;
+    ("mod_mul edges", `Quick, test_mod_mul_edges);
+    QCheck_alcotest.to_alcotest prop_rem_int;
+    ("rem_int edges", `Quick, test_rem_int_edges);
     QCheck_alcotest.to_alcotest prop_mod_inverse;
     QCheck_alcotest.to_alcotest prop_gcd_divides;
   ]

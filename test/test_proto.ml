@@ -538,6 +538,95 @@ let test_encode_memo_identity_and_invalidation () =
   Alcotest.(check bool) "re-signed bound is served, not the cached one" true
     (Int64.compare b2.Firmware.timestamp b1.Firmware.timestamp > 0)
 
+(* ---------- write path: refresh only where a bound is served ---------- *)
+
+let ask transport request = decode_response_exn (transport (Message.encode_request request))
+let long_policy () = short_policy ~retention_s:10_000. ()
+
+let wire_write transport blocks =
+  match ask transport (Message.Write { policy = long_policy (); tenant = ""; blocks }) with
+  | Message.Write_ack { sn } -> sn
+  | r -> Alcotest.fail (Message.describe_response r)
+
+(* A wire write signs its own metasig and datasig in one SCPU call and
+   nothing else: the bound it leaves stale is not re-signed until a
+   request that serves it arrives. *)
+let test_strong_wire_write_signs_twice () =
+  let env, _server, transport = remote_env () in
+  ignore (ask transport (Message.Read Serial.first));
+  for i = 1 to 3 do
+    let before = Device.stats env.device in
+    ignore (wire_write transport [ Printf.sprintf "w%d" i ]);
+    let after = Device.stats env.device in
+    Alcotest.(check int) "two strong signatures" 2 (after.Device.strong_signs - before.Device.strong_signs);
+    Alcotest.(check int) "one sign call" 1 (after.Device.sign_calls - before.Device.sign_calls)
+  done
+
+(* The first bound-carrying request after a burst heals the staleness:
+   an audit walk covers every serial of the burst, and the serial past
+   it is provably never written. *)
+let test_write_burst_then_audit () =
+  let env, _server, transport = remote_env () in
+  let rc = connect_exn env transport in
+  let k = 5 in
+  let burst tag = List.init k (fun i -> wire_write transport [ Printf.sprintf "%s-%d" tag i ]) in
+  let sns = burst "first" in
+  let top = Firmware.sn_current (Worm.firmware env.store) in
+  (match ask transport (Message.Audit_slice { cursor = Serial.first; max = 64 }) with
+  | Message.Audit_slice_reply { replies; next; current; _ } ->
+      Alcotest.(check (list int)) "slice covers the burst" (List.map Serial.to_int sns)
+        (List.map (fun (sn, _) -> Serial.to_int sn) replies);
+      Alcotest.(check bool) "walk complete" true (next = None);
+      Alcotest.(check int) "served bound is sn_current" (Serial.to_int top) (Serial.to_int current.Firmware.sn)
+  | r -> Alcotest.fail (Message.describe_response r));
+  ignore (burst "second");
+  let audit = Remote_client.run_remote_audit_to_completion rc in
+  Alcotest.(check int) "remote audit covers both bursts" (2 * k) audit.Remote_client.scanned;
+  Alcotest.(check int) "remote audit clean" 0 (List.length audit.Remote_client.violations);
+  Alcotest.(check bool) "remote audit complete" true (audit.Remote_client.resume = None);
+  ignore (burst "third");
+  let past = Serial.next (Firmware.sn_current (Worm.firmware env.store)) in
+  match Remote_client.read rc past with
+  | Client.Never_written -> ()
+  | v -> Alcotest.fail ("sn_current + 1: " ^ Client.verdict_name v)
+
+type step = Req of Message.request | Advance of float | Expire
+
+(* Two stores from one seed, one served by [handle_bytes] as it is, the
+   other with an explicit [Server.refresh] before every request (the
+   former per-request rule). Every reply, bound-carrying or not, must be
+   byte-identical. *)
+let test_lazy_refresh_serves_identical_bytes () =
+  let twin () =
+    let env = fresh_env ~seed:"lazy-refresh-twin" () in
+    (env, Server.create env.store)
+  in
+  let (env_l, lazy_), (env_e, eager) = (twin (), twin ()) in
+  let both f = f env_l; f env_e in
+  let brief = short_policy ~retention_s:100. () in
+  let w ?(tenant = "") ?(policy = long_policy ()) b = Req (Message.Write { policy; tenant; blocks = [ b ] }) in
+  let read i = Req (Message.Read (Serial.of_int i)) in
+  let read_many lo hi = Req (Message.Read_many (List.init (hi - lo + 1) (fun i -> Serial.of_int (lo + i)))) in
+  let slice max = Req (Message.Audit_slice { cursor = Serial.first; max }) in
+  let script =
+    [ Req Message.Hello; w ~policy:brief "a"; w ~policy:brief "b"; w "c"; read 4; read 2; Advance 30.;
+      w ~policy:brief "d"; w ~tenant:"acme" "e"; Advance 45.; read_many 1 6; slice 64; w "f"; w "g"; slice 3;
+      Advance 200.; Expire; w "h"; read 4; read_many 1 10; w "i"; w ~tenant:"acme" "j"; slice 64; read 12 ]
+  in
+  List.iter
+    (function
+      | Advance s -> both (fun env -> Clock.advance env.clock (Clock.ns_of_sec s))
+      | Expire -> both (fun env -> ignore (Worm.expire_due env.store); ignore (Worm.compact_windows env.store))
+      | Req request ->
+          let bytes = Message.encode_request request in
+          let l = Server.handle_bytes lazy_ bytes in
+          Server.refresh eager;
+          let e = Server.handle_bytes eager bytes in
+          Alcotest.(check string) ("same bytes: " ^ Message.describe_request request) e l)
+    script;
+  Alcotest.(check bool) "fewer bound signatures" true
+    ((Device.stats env_l.device).Device.strong_signs < (Device.stats env_e.device).Device.strong_signs)
+
 let suite =
   [
     ("request codec", `Quick, test_request_codec);
@@ -561,6 +650,9 @@ let suite =
     ("MITM garbage/drop yields no proof", `Quick, test_mitm_garbage_and_drop);
     ("batching amortizes round trips", `Quick, test_batching_amortizes_round_trips);
     ("encode memo: identity and invalidation", `Quick, test_encode_memo_identity_and_invalidation);
+    ("strong wire write signs twice", `Quick, test_strong_wire_write_signs_twice);
+    ("write burst then audit", `Quick, test_write_burst_then_audit);
+    ("lazy refresh serves identical bytes", `Quick, test_lazy_refresh_serves_identical_bytes);
     QCheck_alcotest.to_alcotest prop_request_codec_total;
     QCheck_alcotest.to_alcotest prop_response_codec_total;
   ]

@@ -62,12 +62,40 @@ let test_cross_key_rejected () =
   Alcotest.(check bool) "other key rejects" false (Rsa.verify (Rsa.public_of k2) ~msg:"msg" ~signature:s)
 
 let test_raw_roundtrip () =
-  let key = Lazy.force key512 in
-  let pub = Rsa.public_of key in
-  let m = Drbg.nat_below rng pub.Rsa.n in
-  let c = Rsa.raw_apply_secret key m in
-  Alcotest.(check bool) "CRT private op inverts public op" true
-    (Nat.equal (Nat.modulo m pub.Rsa.n) (Rsa.raw_apply_public pub c))
+  List.iter
+    (fun key ->
+      let key = Lazy.force key in
+      let pub = Rsa.public_of key in
+      let n = pub.Rsa.n in
+      List.iter
+        (fun m ->
+          let c = Rsa.raw_apply_secret key m in
+          Alcotest.(check bool)
+            (Printf.sprintf "CRT private op inverts public op (%d bits)" (Nat.bit_length n))
+            true
+            (Nat.equal m (Rsa.raw_apply_public pub c)))
+        (Nat.zero :: Nat.one :: Nat.pred n :: List.init 8 (fun _ -> Drbg.nat_below rng n)))
+    [ key512; key1024 ]
+
+(* Key generation and signing are deterministic from the seed; these
+   values pin them, so a faster prime search or recombination cannot
+   silently change which keys or signatures the system produces. *)
+let test_known_answers () =
+  let ca = Rsa.generate (Drbg.create ~seed:"perfbench-keys|ca") ~bits:1024 in
+  Alcotest.(check string) "perfbench CA fingerprint" "9b6d088137ce7098" (Rsa.fingerprint (Rsa.public_of ca));
+  let key = Rsa.generate (Drbg.create ~seed:"kat-512") ~bits:512 in
+  Alcotest.(check string) "512-bit key fingerprint" "9a179eb810e4316f" (Rsa.fingerprint (Rsa.public_of key));
+  let msg = "strong worm known answer" in
+  Alcotest.(check string) "512-bit signature"
+    "29dfc13df9ae960adf7a3bc79ae1db4c74072230c24ffe8bff36baf1b5a0c110\
+     4bafb5d6f6775573e7b6648fd08edd1d1232faa1511615a32371b7a34a5a0831"
+    (Worm_util.Hex.encode (Rsa.sign key msg));
+  Alcotest.(check string) "1024-bit signature"
+    "95bd5c0bc9454c44ad7bef8a921cf59c2a160b0fc04406b9d63237c885047a6d\
+     82a46136140d2aa4438e5ef3bff2e6f39790aead7024af9aeb08195d54aced2b\
+     939cced9da9c2b50a3e243ec2a94d574873f577cc60a6875474beddcaec44743\
+     7c89ceabcfa9ffe57ab0c31c9e46d1c62be7e255716e74e2bfa40fdb9a9ec4ad"
+    (Worm_util.Hex.encode (Rsa.sign ca msg))
 
 let test_sign_batch () =
   let key = Lazy.force key512 in
@@ -167,6 +195,7 @@ let suite =
     ("tampered signature rejected", `Quick, test_signature_tamper_detected);
     ("cross-key rejected", `Quick, test_cross_key_rejected);
     ("raw CRT roundtrip", `Quick, test_raw_roundtrip);
+    ("known-answer keys and signatures", `Quick, test_known_answers);
     ("batch signing", `Quick, test_sign_batch);
     ("small modulus rejected", `Quick, test_generate_rejects_small);
     ("public key codec", `Quick, test_public_codec);
