@@ -255,204 +255,276 @@ let mod_inverse a m =
     go m a (false, zero) (false, one)
   end
 
-(* Montgomery arithmetic for odd moduli. Values inside the domain are
-   kept as fixed-width [limbs]-length arrays (< m, not canonicalized) so
-   the inner loops never allocate: a context carries two preallocated
-   scratch buffers that every multiply/square/reduce runs through. A
-   context is therefore NOT reentrant — one modular exponentiation at a
-   time per context — which is fine for this single-threaded codebase
-   and lets callers cache contexts per key for the signing hot path. *)
+(* Montgomery arithmetic for odd moduli, in radix 2^27 with Koç's finely
+   integrated product scanning: column k of a product sums every limb
+   product x_j*y_(k-j) and u_j*m_(k-j) in one native int, emits one limb
+   and carries the rest, so the inner step is load, load, multiply, add,
+   with no per-product mask, shift or store.
+
+   Why 27 bits: a column sums at most 2n limb products, each at most
+   (2^27-1)^2 < 2^54, plus its carry (below 2^35) and, when reducing a
+   double-width value, one input limb. For n <= 126 limbs that stays
+   under (2n+1) * 2^54 + 2^35 < 2^62, inside OCaml's 63-bit native int;
+   in radix 2^31 a single product already fills it. [mont_init] rejects
+   wider moduli (above 126 * 27 = 3402 bits) and [mod_pow] takes the
+   generic path for them.
+
+   [t] stays in 31-bit limbs; a context converts operands at its
+   boundary into fixed-width arrays of [limbs] 27-bit limbs (< m, not
+   canonicalized). The kernels run through the context's preallocated
+   scratch, so a context is NOT reentrant: one exponentiation at a time
+   per context ([mont_clone] gives each domain its own). Nothing here is
+   constant-time: windows, zero tests and the final subtract branch on
+   the data. This is a simulator, not a hardened signer. *)
+let mont_bits = 27
+let mont_mask = (1 lsl mont_bits) - 1
+let mont_max_limbs = 126
+
 type mont = {
-  m : t;  (* modulus, canonical: exactly [limbs] limbs, top nonzero *)
-  n0' : int;  (* -m^-1 mod 2^31 *)
-  r2 : int array;  (* R^2 mod m, fixed width *)
-  one_m : int array;  (* R mod m: Montgomery form of 1, fixed width *)
+  m : t;  (* modulus, canonical *)
+  mw : int array;  (* the modulus in [limbs] 27-bit limbs, top nonzero *)
+  n0' : int;  (* -m^-1 mod 2^27 *)
+  r2 : int array;  (* R^2 mod m, R = 2^(27 * limbs) *)
+  one_m : int array;  (* R mod m: Montgomery form of 1 *)
   limbs : int;
-  tmp : int array;  (* limbs + 2: CIOS accumulator *)
-  sq : int array;  (* 2*limbs + 1: squaring / plain-reduction buffer *)
+  u : int array;  (* limbs: reduction digits of the current product *)
+  tmp : int array;  (* limbs + 1: result columns before the final subtract *)
+  wide : int array;  (* 2 * limbs: double-width input of [mont_redc] *)
 }
 
 let mont_modulus ctx = ctx.m
 
-(* Fresh scratch over the same precomputed constants. The immutable
-   fields (m, n0', r2, one_m) are shared — only tmp/sq are per-clone —
-   so cloning costs two small allocations instead of the division
-   mont_init pays for R^2 mod m. This is what makes a shared context
-   cache domain-safe: one master per modulus, one clone per domain. *)
+(* Little-endian re-packing of [src_bits]-bit limbs into the zeroed
+   [dst_bits]-bit limbs of [dst], for widths of 8 (bytes), 27 and 31;
+   the accumulator never holds more than src_bits + dst_bits - 1 <= 57
+   bits. Callers size [dst] for the value: only high zero limbs are
+   dropped. *)
+let repack ~src_bits ~dst_bits (src : int array) (dst : int array) =
+  let mask = (1 lsl dst_bits) - 1 and len = Array.length dst in
+  let acc = ref 0 and have = ref 0 and k = ref 0 in
+  for i = 0 to Array.length src - 1 do
+    acc := !acc lor (Array.unsafe_get src i lsl !have);
+    have := !have + src_bits;
+    while !have >= dst_bits do
+      if !k < len then dst.(!k) <- !acc land mask;
+      acc := !acc lsr dst_bits;
+      have := !have - dst_bits;
+      incr k
+    done
+  done;
+  if !k < len then dst.(!k) <- !acc
+
+let to_mont_limbs n (a : t) =
+  let w = Array.make n 0 in
+  repack ~src_bits:base_bits ~dst_bits:mont_bits a w;
+  w
+
+let of_mont_limbs (w : int array) : t =
+  let r = Array.make (((mont_bits * Array.length w) + base_bits - 1) / base_bits) 0 in
+  repack ~src_bits:mont_bits ~dst_bits:base_bits w r;
+  normalize r
+
+(* Fresh scratch over the same precomputed constants: cloning costs three
+   small allocations instead of the divisions [mont_init] pays for R^2
+   mod m. This is what makes a shared context cache domain-safe: one
+   master per modulus, one clone per domain. *)
 let mont_clone ctx =
-  { ctx with tmp = Array.make (ctx.limbs + 2) 0; sq = Array.make ((2 * ctx.limbs) + 1) 0 }
+  { ctx with u = Array.make ctx.limbs 0; tmp = Array.make (ctx.limbs + 1) 0; wide = Array.make (2 * ctx.limbs) 0 }
 
 let mont_init (m : t) =
   if is_zero m || is_even m then invalid_arg "Nat.mont_init: modulus must be odd";
-  let limbs = Array.length m in
-  let m0 = m.(0) in
+  let limbs = (bit_length m + mont_bits - 1) / mont_bits in
+  if limbs > mont_max_limbs then invalid_arg "Nat.mont_init: modulus wider than 3402 bits";
+  let mw = to_mont_limbs limbs m in
   (* Hensel lifting: five Newton steps take a 1-bit inverse to >= 32 bits. *)
   let inv = ref 1 in
   for _ = 1 to 5 do
-    inv := (!inv * (2 - (m0 * !inv))) land base_mask
+    inv := (!inv * (2 - (mw.(0) * !inv))) land mont_mask
   done;
-  let n0' = (base_mask + 1 - !inv) land base_mask in
-  let r_mod_m = modulo (shift_left one (base_bits * limbs)) m in
-  let r2 = modulo (mul r_mod_m r_mod_m) m in
-  let pad a =
-    let w = Array.make limbs 0 in
-    Array.blit a 0 w 0 (Array.length a);
-    w
-  in
+  let r_mod_m = modulo (shift_left one (mont_bits * limbs)) m in
   {
     m;
-    n0';
-    r2 = pad r2;
-    one_m = pad r_mod_m;
+    mw;
+    n0' = (mont_mask + 1 - !inv) land mont_mask;
+    r2 = to_mont_limbs limbs (modulo (mul r_mod_m r_mod_m) m);
+    one_m = to_mont_limbs limbs r_mod_m;
     limbs;
-    tmp = Array.make (limbs + 2) 0;
-    sq = Array.make ((2 * limbs) + 1) 0;
+    u = Array.make limbs 0;
+    tmp = Array.make (limbs + 1) 0;
+    wide = Array.make (2 * limbs) 0;
   }
 
-(* dst <- src mod m where src is the [limbs+1]-wide value at [src.(off)
-   .. src.(off+limbs)] known to be < 2m (top limb 0 or 1). *)
-let mont_sub_once ctx (src : int array) off (dst : int array) =
-  let n = ctx.limbs and m = ctx.m in
+(* dst <- tmp mod m, where tmp holds the low [limbs] result limbs and
+   [top] the final column carry, together below 2m. One data-dependent
+   branch: subtract m or copy. *)
+let mont_finish ctx (dst : int array) top =
+  let n = ctx.limbs and m = ctx.mw and t = ctx.tmp in
   let ge =
-    src.(off + n) > 0
+    top > 0
     ||
-    let rec cmp i = if i < 0 then true else if src.(off + i) <> m.(i) then src.(off + i) > m.(i) else cmp (i - 1) in
+    let rec cmp i = if i < 0 then true else if t.(i) <> m.(i) then t.(i) > m.(i) else cmp (i - 1) in
     cmp (n - 1)
   in
   if ge then begin
     let borrow = ref 0 in
     for i = 0 to n - 1 do
-      let d = Array.unsafe_get src (off + i) - Array.unsafe_get m i - !borrow in
-      Array.unsafe_set dst i (d land base_mask);
-      borrow := (d asr base_bits) land 1
+      let d = Array.unsafe_get t i - Array.unsafe_get m i - !borrow in
+      Array.unsafe_set dst i (d land mont_mask);
+      borrow := (d asr mont_bits) land 1
     done
   end
-  else Array.blit src off dst 0 n
+  else Array.blit t 0 dst 0 n
 
-(* Fused CIOS multiply: dst <- a*b/R mod m without materializing the
-   double-width product. Each outer round interleaves one limb of the
-   schoolbook product with one limb of the reduction, accumulating in
-   ctx.tmp; [dst] may alias [a] or [b]. *)
+(* The column kernels are leaf functions: OCaml keeps a leaf's loop
+   variables in registers, while a loop inside a function that also
+   calls out spills them to the stack. *)
+
+(* acc + sum of a_j*b_(k-j) + u_j*m_(k-j) for lo <= j < hi: one column of
+   a product fused with its reduction, four pairs a step. *)
+let mul_column acc (a : int array) (b : int array) (u : int array) (m : int array) k lo hi =
+  let s = ref acc and j = ref lo in
+  while !j + 4 <= hi do
+    let j0 = !j in
+    let i = k - j0 in
+    s :=
+      !s
+      + (((Array.unsafe_get a j0 * Array.unsafe_get b i) + (Array.unsafe_get u j0 * Array.unsafe_get m i))
+        + ((Array.unsafe_get a (j0 + 1) * Array.unsafe_get b (i - 1))
+          + (Array.unsafe_get u (j0 + 1) * Array.unsafe_get m (i - 1))))
+      + (((Array.unsafe_get a (j0 + 2) * Array.unsafe_get b (i - 2))
+         + (Array.unsafe_get u (j0 + 2) * Array.unsafe_get m (i - 2)))
+        + ((Array.unsafe_get a (j0 + 3) * Array.unsafe_get b (i - 3))
+          + (Array.unsafe_get u (j0 + 3) * Array.unsafe_get m (i - 3))));
+    j := j0 + 4
+  done;
+  while !j < hi do
+    let i = k - !j in
+    s := !s + (Array.unsafe_get a !j * Array.unsafe_get b i) + (Array.unsafe_get u !j * Array.unsafe_get m i);
+    incr j
+  done;
+  !s
+
+(* The same column of a*a: each cross product a_j*a_(k-j), j < k-j, is
+   summed once and the sum doubled, and the square a_(k/2)^2 is added. *)
+let sqr_column acc (a : int array) (u : int array) (m : int array) k lo hi =
+  let half = (k + 1) / 2 in
+  let x = ref 0 and s = ref acc and j = ref lo in
+  while !j + 4 <= half do
+    let j0 = !j in
+    let i = k - j0 in
+    x :=
+      !x
+      + ((Array.unsafe_get a j0 * Array.unsafe_get a i) + (Array.unsafe_get a (j0 + 1) * Array.unsafe_get a (i - 1)))
+      + ((Array.unsafe_get a (j0 + 2) * Array.unsafe_get a (i - 2))
+        + (Array.unsafe_get a (j0 + 3) * Array.unsafe_get a (i - 3)));
+    s :=
+      !s
+      + ((Array.unsafe_get u j0 * Array.unsafe_get m i) + (Array.unsafe_get u (j0 + 1) * Array.unsafe_get m (i - 1)))
+      + ((Array.unsafe_get u (j0 + 2) * Array.unsafe_get m (i - 2))
+        + (Array.unsafe_get u (j0 + 3) * Array.unsafe_get m (i - 3)));
+    j := j0 + 4
+  done;
+  while !j < half do
+    let i = k - !j in
+    x := !x + (Array.unsafe_get a !j * Array.unsafe_get a i);
+    s := !s + (Array.unsafe_get u !j * Array.unsafe_get m i);
+    incr j
+  done;
+  while !j + 4 <= hi do
+    let j0 = !j in
+    let i = k - j0 in
+    s :=
+      !s
+      + ((Array.unsafe_get u j0 * Array.unsafe_get m i) + (Array.unsafe_get u (j0 + 1) * Array.unsafe_get m (i - 1)))
+      + ((Array.unsafe_get u (j0 + 2) * Array.unsafe_get m (i - 2))
+        + (Array.unsafe_get u (j0 + 3) * Array.unsafe_get m (i - 3)));
+    j := j0 + 4
+  done;
+  while !j < hi do
+    s := !s + (Array.unsafe_get u !j * Array.unsafe_get m (k - !j));
+    incr j
+  done;
+  let s = !s + (2 * !x) in
+  if k land 1 = 0 then s + (Array.unsafe_get a (k / 2) * Array.unsafe_get a (k / 2)) else s
+
+(* The low n columns each fix the digit u_k that makes the column
+   divisible by 2^27, and carry; the high n columns emit the result
+   limbs. (a*b + u*m)/R is below 2m when a*b < m*R, so one conditional
+   subtract finishes it. [dst] may alias [a] or [b]. *)
 let mont_mul ctx (dst : int array) (a : int array) (b : int array) =
-  let n = ctx.limbs and m = ctx.m and t = ctx.tmp in
-  Array.fill t 0 (n + 2) 0;
-  for i = 0 to n - 1 do
-    let ai = Array.unsafe_get a i in
-    (* t += a_i * b *)
-    let c = ref 0 in
-    for j = 0 to n - 1 do
-      let x = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
-      Array.unsafe_set t j (x land base_mask);
-      c := x lsr base_bits
-    done;
-    let x = t.(n) + !c in
-    t.(n) <- x land base_mask;
-    t.(n + 1) <- x lsr base_bits;
-    (* t <- (t + u*m) / 2^31 *)
-    let u = (t.(0) * ctx.n0') land base_mask in
-    let c = ref ((t.(0) + (u * Array.unsafe_get m 0)) lsr base_bits) in
-    for j = 1 to n - 1 do
-      let x = Array.unsafe_get t j + (u * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (j - 1) (x land base_mask);
-      c := x lsr base_bits
-    done;
-    let x = t.(n) + !c in
-    t.(n - 1) <- x land base_mask;
-    t.(n) <- t.(n + 1) + (x lsr base_bits);
-    t.(n + 1) <- 0
+  let n = ctx.limbs and m = ctx.mw and u = ctx.u in
+  let c = ref 0 in
+  for k = 0 to n - 1 do
+    (* u_k is not known yet: a_k*b_0 joins the column alone *)
+    let s = mul_column !c a b u m k 0 k + (Array.unsafe_get a k * Array.unsafe_get b 0) in
+    let uk = ((s land mont_mask) * ctx.n0') land mont_mask in
+    Array.unsafe_set u k uk;
+    c := (s + (uk * Array.unsafe_get m 0)) lsr mont_bits
   done;
-  mont_sub_once ctx t 0 dst
-
-(* Montgomery reduction of the double-width value sitting in ctx.sq:
-   dst <- sq / R mod m (SOS rounds, in place). *)
-let mont_reduce_scratch ctx (dst : int array) =
-  let n = ctx.limbs and m = ctx.m and t = ctx.sq in
-  for i = 0 to n - 1 do
-    let u = (t.(i) * ctx.n0') land base_mask in
-    if u <> 0 then begin
-      let c = ref 0 in
-      for j = 0 to n - 1 do
-        let x = Array.unsafe_get t (i + j) + (u * Array.unsafe_get m j) + !c in
-        Array.unsafe_set t (i + j) (x land base_mask);
-        c := x lsr base_bits
-      done;
-      let k = ref (i + n) in
-      while !c <> 0 do
-        let x = t.(!k) + !c in
-        t.(!k) <- x land base_mask;
-        c := x lsr base_bits;
-        incr k
-      done
-    end
+  for k = n to (2 * n) - 1 do
+    let s = mul_column !c a b u m k (k - n + 1) n in
+    Array.unsafe_set ctx.tmp (k - n) (s land mont_mask);
+    c := s lsr mont_bits
   done;
-  mont_sub_once ctx t n dst
+  mont_finish ctx dst !c
 
-(* Dedicated squaring: the cross products a_i*a_j (i<j) are computed
-   once, doubled by a linear shift pass, and the diagonal a_i^2 terms
-   added — about half the limb products of mont_mul — then reduced.
-   (Doubling each product inline would overflow 63-bit ints: 2*(2^31-1)^2
-   > max_int, hence the separate shift pass.) *)
+(* As [mont_mul] with b = a; a square's low column already holds
+   a_k*a_0 as a cross product. *)
 let mont_sqr ctx (dst : int array) (a : int array) =
-  let n = ctx.limbs and t = ctx.sq in
-  let len = (2 * n) + 1 in
-  Array.fill t 0 len 0;
-  for i = 0 to n - 2 do
-    let ai = Array.unsafe_get a i in
-    if ai <> 0 then begin
-      let c = ref 0 in
-      for j = i + 1 to n - 1 do
-        let x = Array.unsafe_get t (i + j) + (ai * Array.unsafe_get a j) + !c in
-        Array.unsafe_set t (i + j) (x land base_mask);
-        c := x lsr base_bits
-      done;
-      let k = ref (i + n) in
-      while !c <> 0 do
-        let x = t.(!k) + !c in
-        t.(!k) <- x land base_mask;
-        c := x lsr base_bits;
-        incr k
-      done
+  let n = ctx.limbs and m = ctx.mw and u = ctx.u in
+  let c = ref 0 in
+  for k = 0 to n - 1 do
+    let s = sqr_column !c a u m k 0 k in
+    let uk = ((s land mont_mask) * ctx.n0') land mont_mask in
+    Array.unsafe_set u k uk;
+    c := (s + (uk * Array.unsafe_get m 0)) lsr mont_bits
+  done;
+  for k = n to (2 * n) - 1 do
+    let s = sqr_column !c a u m k (k - n + 1) n in
+    Array.unsafe_set ctx.tmp (k - n) (s land mont_mask);
+    c := s lsr mont_bits
+  done;
+  mont_finish ctx dst !c
+
+(* dst <- wide/R mod m for the 2n-limb value in ctx.wide, below m*R:
+   column k is limb k of [wide] plus the reduction products. Two or
+   three of these run per exponentiation, so this loop is not unrolled. *)
+let mont_redc ctx (dst : int array) =
+  let n = ctx.limbs and m = ctx.mw and u = ctx.u in
+  let c = ref 0 in
+  for k = 0 to (2 * n) - 1 do
+    let s = ref (!c + ctx.wide.(k)) in
+    for j = (if k < n then 0 else k - n + 1) to (if k < n then k else n) - 1 do
+      s := !s + (u.(j) * m.(k - j))
+    done;
+    if k < n then begin
+      let uk = ((!s land mont_mask) * ctx.n0') land mont_mask in
+      u.(k) <- uk;
+      c := (!s + (uk * m.(0))) lsr mont_bits
+    end
+    else begin
+      ctx.tmp.(k - n) <- !s land mont_mask;
+      c := !s lsr mont_bits
     end
   done;
-  let c = ref 0 in
-  for i = 0 to len - 1 do
-    let x = (Array.unsafe_get t i lsl 1) lor !c in
-    Array.unsafe_set t i (x land base_mask);
-    c := x lsr base_bits
-  done;
-  let c = ref 0 in
-  for i = 0 to n - 1 do
-    let ai = Array.unsafe_get a i in
-    let p = ai * ai in
-    let x = Array.unsafe_get t (2 * i) + (p land base_mask) + !c in
-    Array.unsafe_set t (2 * i) (x land base_mask);
-    let x1 = Array.unsafe_get t ((2 * i) + 1) + (p lsr base_bits) + (x lsr base_bits) in
-    Array.unsafe_set t ((2 * i) + 1) (x1 land base_mask);
-    c := x1 lsr base_bits
-  done;
-  if !c <> 0 then begin
-    let k = ref (2 * n) in
-    while !c <> 0 do
-      let x = t.(!k) + !c in
-      t.(!k) <- x land base_mask;
-      c := x lsr base_bits;
-      incr k
-    done
-  end;
-  mont_reduce_scratch ctx dst
+  mont_finish ctx dst !c
 
-(* Two CIOS multiplies: a*b/R, then times R^2 to cancel the R^-1. With
-   a, b < m every intermediate stays below 2m, so the result is fully
-   reduced and no long division is needed. *)
+(* Two Montgomery multiplies: a*b/R, then times R^2 to cancel the R^-1.
+   With a, b < m every intermediate stays below 2m, so the result is
+   fully reduced and no long division is needed. *)
 let mod_mul ctx (a : t) (b : t) =
   if compare a ctx.m >= 0 || compare b ctx.m >= 0 then invalid_arg "Nat.mod_mul: operand not below the modulus";
-  let n = ctx.limbs in
-  let acc = Array.make n 0 and bw = Array.make n 0 in
-  Array.blit a 0 acc 0 (Array.length a);
-  Array.blit b 0 bw 0 (Array.length b);
-  mont_mul ctx acc acc bw;
+  let acc = to_mont_limbs ctx.limbs a in
+  mont_mul ctx acc acc (to_mont_limbs ctx.limbs b);
   mont_mul ctx acc acc ctx.r2;
-  normalize acc
+  of_mont_limbs acc
+
+(* The 2n-limb value in ctx.wide is below m*R: its high half, read as a
+   number, is below m. *)
+let wide_below_m_r ctx =
+  let n = ctx.limbs and w = ctx.wide and m = ctx.mw in
+  let rec cmp i = i >= 0 && if w.(n + i) <> m.(i) then w.(n + i) < m.(i) else cmp (i - 1) in
+  cmp (n - 1)
 
 (* Fixed 4-bit windows: 4 squarings plus at most one table multiply per
    window, a ~17% multiply saving over binary square-and-multiply at RSA
@@ -461,36 +533,33 @@ let mod_mul ctx (a : t) (b : t) =
    path. *)
 let mod_pow_ctx ctx ~base ~exp =
   let n = ctx.limbs in
-  (* Bring [base] into Montgomery form without a long division. CIOS
-     tolerates one operand up to R, so an n-limb base converts directly;
-     a wider base first folds through a Montgomery reduction (valid while
-     base < m*R, i.e. bit_length base <= bit_length m + 31n - 1) and two
-     r2 multiplies undo the R^-1. Only oversized bases — never hit by the
-     RSA paths — fall back to [modulo]. *)
+  (* Bring [base] into Montgomery form without a long division. A base
+     below R converts with one r2 multiply. A base below m*R (the CRT
+     shape: a 2k-bit value into a k-bit context) folds through a 2n-limb
+     reduction, and two r2 multiplies undo its R^-1. Only larger bases
+     pay [modulo]. *)
   let base_m = Array.make n 0 in
-  let blen = Array.length base in
-  if blen <= n then begin
-    Array.blit base 0 base_m 0 blen;
+  let bbits = bit_length base in
+  if bbits <= mont_bits * n then begin
+    repack ~src_bits:base_bits ~dst_bits:mont_bits base base_m;
     mont_mul ctx base_m base_m ctx.r2
   end
-  else if blen <= 2 * n && bit_length base <= bit_length ctx.m + (base_bits * n) - 1
+  else if
+    bbits <= 2 * mont_bits * n
+    &&
+    (Array.fill ctx.wide 0 (2 * n) 0;
+     repack ~src_bits:base_bits ~dst_bits:mont_bits base ctx.wide;
+     wide_below_m_r ctx)
   then begin
-    Array.fill ctx.sq 0 ((2 * n) + 1) 0;
-    Array.blit base 0 ctx.sq 0 blen;
-    mont_reduce_scratch ctx base_m;
+    mont_redc ctx base_m;
     mont_mul ctx base_m base_m ctx.r2;
     mont_mul ctx base_m base_m ctx.r2
   end
   else begin
-    let b = modulo base ctx.m in
-    Array.blit b 0 base_m 0 (Array.length b);
+    repack ~src_bits:base_bits ~dst_bits:mont_bits (modulo base ctx.m) base_m;
     mont_mul ctx base_m base_m ctx.r2
   end;
-  let base_zero =
-    let rec all_zero i = i >= n || (base_m.(i) = 0 && all_zero (i + 1)) in
-    all_zero 0
-  in
-  if base_zero then if is_zero exp then modulo one ctx.m else zero
+  if Array.for_all (fun l -> l = 0) base_m then if is_zero exp then modulo one ctx.m else zero
   else begin
     let nbits = bit_length exp in
     let acc = Array.make n 0 in
@@ -528,10 +597,10 @@ let mod_pow_ctx ctx ~base ~exp =
       done
     end;
     (* out of Montgomery form: acc / R mod m *)
-    Array.fill ctx.sq 0 ((2 * n) + 1) 0;
-    Array.blit acc 0 ctx.sq 0 n;
-    mont_reduce_scratch ctx acc;
-    normalize (Array.copy acc)
+    Array.blit acc 0 ctx.wide 0 n;
+    Array.fill ctx.wide n n 0;
+    mont_redc ctx acc;
+    of_mont_limbs acc
   end
 
 let mod_pow_generic ~base ~exp ~modulus =
@@ -546,7 +615,7 @@ let mod_pow_generic ~base ~exp ~modulus =
 let mod_pow ~base ~exp ~modulus =
   if is_zero modulus then raise Division_by_zero;
   if is_one modulus then zero
-  else if is_even modulus then mod_pow_generic ~base ~exp ~modulus
+  else if is_even modulus || bit_length modulus > mont_bits * mont_max_limbs then mod_pow_generic ~base ~exp ~modulus
   else mod_pow_ctx (mont_init modulus) ~base ~exp
 
 let of_bytes_be s =
@@ -567,20 +636,12 @@ let of_bytes_be s =
     normalize r
   end
 
+(* Bytes are 8-bit limbs, the least significant last in the string. *)
 let to_bytes_be a =
-  let bits = bit_length a in
-  let n = (bits + 7) / 8 in
-  let out = Bytes.make n '\000' in
-  for i = 0 to n - 1 do
-    (* byte i counts from the most significant end *)
-    let lo_bit = (n - 1 - i) * 8 in
-    let v = ref 0 in
-    for b = 7 downto 0 do
-      v := (!v lsl 1) lor (if test_bit a (lo_bit + b) then 1 else 0)
-    done;
-    Bytes.set out i (Char.chr !v)
-  done;
-  Bytes.unsafe_to_string out
+  let n = (bit_length a + 7) / 8 in
+  let bytes = Array.make n 0 in
+  repack ~src_bits:base_bits ~dst_bits:8 a bytes;
+  String.init n (fun i -> Char.unsafe_chr (Array.unsafe_get bytes (n - 1 - i)))
 
 let to_bytes_be_padded ~len a =
   let s = to_bytes_be a in

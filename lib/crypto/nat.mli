@@ -7,7 +7,13 @@
     This is the bignum substrate for the RSA implementation — the sealed
     build environment ships no zarith, so the reproduction carries its
     own. Performance targets the paper's key sizes (512–2048 bits):
-    schoolbook multiplication and Montgomery exponentiation. *)
+    schoolbook multiplication and Montgomery exponentiation.
+
+    {b Simulator arithmetic, not constant-time.} The Montgomery kernel's
+    final subtract, the exponent windows, the zero tests and the long
+    division all branch on secret data, and running times depend on
+    operand values. Acceptable for a simulator; never ship it where an
+    attacker can time the host. *)
 
 type t
 
@@ -67,20 +73,27 @@ val mod_inverse : t -> t -> t option
     [gcd a m = 1], otherwise [None]. *)
 
 type mont
-(** Precomputed Montgomery context for a fixed odd modulus: the limb
-    inverse, [R^2 mod m], and preallocated scratch buffers for the fused
-    CIOS multiply / squaring inner loops. Building one costs a full
-    division ([R^2 mod m]); cache it per key and pass it to {!mod_pow}
-    to keep that cost off the signing hot path. A context's scratch is
-    reused across calls, so a single context must not be used from two
-    concurrent exponentiations (fine single-threaded). *)
+(** Precomputed Montgomery context for a fixed odd modulus of at most
+    3402 bits. It holds the modulus in 27-bit limbs, the limb inverse,
+    [R^2 mod m] with [R = 2^(27 * limbs)], and preallocated scratch for
+    the product-scanning kernel: each result column sums all its limb
+    products in one native int, which 27-bit limbs keep below 2^62 up
+    to 126 limbs. Operands convert from and to the canonical 31-bit
+    limbs of {!t} at the context's boundary. Building one costs a full
+    division ([R^2 mod m]); cache it per key and pass it to
+    {!mod_pow_ctx} to keep that cost off the signing hot path. A
+    context's scratch is reused across calls, so a single context must
+    not be used from two concurrent exponentiations (fine
+    single-threaded). *)
 
 val mont_init : t -> mont
-(** @raise Invalid_argument if the modulus is zero or even. *)
+(** @raise Invalid_argument if the modulus is zero or even, or wider
+    than 3402 bits (126 limbs of 27 bits), past which a column sum could
+    overflow a native int. *)
 
 val mont_clone : mont -> mont
 (** A context over the same modulus sharing the precomputed constants
-    but carrying fresh scratch buffers. Cloning is two small
+    but carrying fresh scratch buffers. Cloning is three small
     allocations, against the full division {!mont_init} pays — so a
     cache can hold one master context per modulus and hand each domain
     its own clone, keeping contexts single-threaded without re-running
@@ -89,26 +102,30 @@ val mont_clone : mont -> mont
 val mont_modulus : mont -> t
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
-(** Modular exponentiation. Uses Montgomery reduction for odd moduli and
-    a generic square-and-multiply fallback otherwise. Builds a fresh
+(** Modular exponentiation. Uses Montgomery reduction for odd moduli up
+    to 3402 bits and the generic square-and-multiply fallback otherwise
+    (even or wider moduli). Builds a fresh
     Montgomery context per call — for repeated exponentiations under one
     modulus, build the context once and use {!mod_pow_ctx}.
     @raise Division_by_zero on a zero modulus. *)
 
 val mod_pow_ctx : mont -> base:t -> exp:t -> t
 (** [mod_pow_ctx ctx ~base ~exp] is [base^exp mod (mont_modulus ctx)]
-    through the fused-CIOS fast path, with no per-call setup — the
-    signing hot path for cached per-key contexts. *)
+    through the Montgomery kernel with fixed 4-bit windows and no
+    per-call setup — the signing hot path for cached per-key contexts.
+    A base below [m * R] (the CRT shape: a double-width value into a
+    half-width context) enters without a long division. *)
 
 val mod_mul : mont -> t -> t -> t
 (** [mod_mul ctx a b] is [a * b mod (mont_modulus ctx)], computed as two
-    fused-CIOS multiplies (the second by [R^2]) with no long division.
+    Montgomery multiplies (the second by [R^2]) with no long division.
     @raise Invalid_argument unless both operands are below the modulus. *)
 
 val mod_pow_generic : base:t -> exp:t -> modulus:t -> t
 (** Reference square-and-multiply implementation (no Montgomery forms,
-    any modulus). Slow; exposed as the cross-check oracle for the fused
-    CIOS fast path. *)
+    any modulus). Slow; exposed as the cross-check oracle for the
+    Montgomery kernel, and the path {!mod_pow} takes where the kernel
+    does not apply. *)
 
 val of_bytes_be : string -> t
 (** Big-endian bytes to natural. The empty string is zero. *)

@@ -8,16 +8,15 @@ let small_primes =
 let divisible_by_small n =
   List.exists (fun p -> Nat.rem_int n p = 0 && not (Nat.equal n (Nat.of_int p))) small_primes
 
-let miller_rabin_round ctx ~d ~s a =
+let miller_rabin_round pow ~n1 ~d ~s a =
   (* n-1 = d * 2^s with d odd; witness a in [2, n-2] *)
-  let x = ref (Nat.mod_pow_ctx ctx ~base:a ~exp:d) in
-  let n1 = Nat.pred (Nat.mont_modulus ctx) in
+  let x = ref (pow ~base:a ~exp:d) in
   if Nat.is_one !x || Nat.equal !x n1 then true
   else begin
     let rec squares i =
       if i >= s - 1 then false
       else begin
-        x := Nat.mod_pow_ctx ctx ~base:!x ~exp:Nat.two;
+        x := pow ~base:!x ~exp:Nat.two;
         if Nat.equal !x n1 then true else squares (i + 1)
       end
     in
@@ -37,15 +36,20 @@ let is_probably_prime ?(rounds = 20) rng n =
     let d, s = split n1 0 in
     let n3 = Nat.sub n (Nat.of_int 3) in
     (* One Montgomery context per candidate: its setup is the only long
-       division the rounds pay. *)
-    let ctx = Nat.mont_init n in
+       division the rounds pay. A candidate wider than the kernel takes
+       runs on the generic path. *)
+    let pow =
+      match Nat.mont_init n with
+      | ctx -> Nat.mod_pow_ctx ctx
+      | exception Invalid_argument _ -> fun ~base ~exp -> Nat.mod_pow ~base ~exp ~modulus:n
+    in
     let rec rounds_loop i =
       if i >= rounds then true
       else begin
         let a = Nat.add Nat.two (Drbg.nat_below rng (Nat.succ n3)) in
         (* a in [2, n-1]; clamp n-1 (which always passes) down to n-2 *)
         let a = if Nat.equal a n1 then Nat.two else a in
-        if miller_rabin_round ctx ~d ~s a then rounds_loop (i + 1) else false
+        if miller_rabin_round pow ~n1 ~d ~s a then rounds_loop (i + 1) else false
       end
     in
     rounds_loop 0

@@ -78,7 +78,8 @@ let raw_apply_secret sk m =
 
    Both tables are bounded so a stream of one-shot keys cannot grow
    them without limit. Even/zero moduli (never produced by [generate],
-   but [public] is an open record) fall through to the generic path. *)
+   but [public] is an open record) and moduli wider than the Montgomery
+   kernel takes fall through to the generic path. *)
 let master_ctx_memo : (Nat.t, Nat.mont) Hashtbl.t = Hashtbl.create 8
 let master_ctx_mutex = Mutex.create ()
 
@@ -114,11 +115,13 @@ let public_ctx n =
     let tbl = Domain.DLS.get domain_ctx_memo in
     match Hashtbl.find_opt tbl n with
     | Some ctx -> Some ctx
-    | None ->
-        let ctx = Nat.mont_clone (master_ctx n) in
-        if Hashtbl.length tbl > 64 then Hashtbl.reset tbl;
-        Hashtbl.add tbl n ctx;
-        Some ctx
+    | None -> (
+        match Nat.mont_clone (master_ctx n) with
+        | exception Invalid_argument _ -> None
+        | ctx ->
+            if Hashtbl.length tbl > 64 then Hashtbl.reset tbl;
+            Hashtbl.add tbl n ctx;
+            Some ctx)
   end
 
 let raw_apply_public pub s =
@@ -175,7 +178,7 @@ let verify_batch ?pool pub items =
   | Some p when Worm_util.Pool.size p > 1 && List.length items > 1 ->
       (* Warm the master context before fanning out, so the domains
          clone a ready context instead of racing to build one each. *)
-      if not (Nat.is_zero pub.n || Nat.is_even pub.n) then ignore (master_ctx pub.n);
+      ignore (public_ctx pub.n);
       Worm_util.Pool.map_list p (fun (msg, signature) -> verify pub ~msg ~signature) items
   | _ -> List.map (fun (msg, signature) -> verify pub ~msg ~signature) items
 

@@ -28,7 +28,13 @@ val refresh : t -> unit
     path spends SCPU signatures; it is convergent — a second call at the
     same store state does nothing. {!handle_bytes} calls it before every
     request whose reply can carry a signed bound ([Read], [Read_many],
-    [Audit_slice]); the event server calls it once per batch. *)
+    [Audit_slice]), and so does the event server; a write batch signs
+    only its own witnesses. *)
+
+val serves_bound : Message.request -> bool
+(** Whether the reply to this request can carry a signed bound, and so
+    needs a {!refresh} first: [Read], [Read_many] and [Audit_slice]. The
+    one refresh rule shared by {!handle_bytes} and the event server. *)
 
 val handle : t -> Message.request -> Message.response
 (** Dispatch one request. For the read/audit vocabulary this is a pure

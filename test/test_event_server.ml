@@ -221,6 +221,43 @@ let test_event_server_backpressure () =
      the final flush's own (not-yet-shed-against) entry may remain *)
   Alcotest.(check bool) "backpressure drained the ledger" true (Worm.deferred_length env.store <= 1)
 
+(* A flushed batch pays its witnesses and nothing else: each of two
+   back-to-back batches of strong writes costs exactly two strong
+   signatures per write, although the first batch leaves the bound stale
+   for the second. The next read heals the bound. *)
+let test_write_batch_signs_twice_per_write () =
+  let n = 4 in
+  let config = { Event_server.default_config with batch_size = n } in
+  let env, es = es_fixture ~config () in
+  let policy = short_policy () in
+  let strong_signs () = (Worm_scpu.Device.stats env.device).Worm_scpu.Device.strong_signs in
+  let last = ref None in
+  List.iter
+    (fun round ->
+      let before = strong_signs () in
+      let at = Clock.now env.clock in
+      for i = 0 to n - 1 do
+        Event_server.submit es ~client:i ~at
+          (Message.Write { policy; tenant = ""; blocks = [ Printf.sprintf "r%d-c%d" round i ] })
+          ~on_reply:(fun c ->
+            match c.Event_server.outcome with
+            | Event_server.Replied (Message.Write_ack { sn }) -> last := Some sn
+            | _ -> Alcotest.fail "write not acked")
+      done;
+      Event_server.run es;
+      Alcotest.(check int) (Printf.sprintf "batch %d: 2 strong signs per write" round) (2 * n) (strong_signs () - before))
+    [ 1; 2 ];
+  Alcotest.(check int) "one flush per batch" 2 (Event_server.stats es).Event_server.flushes;
+  let sn = Option.get !last and found = ref false in
+  Event_server.submit es ~client:0 ~at:(Clock.now env.clock) (Message.Read sn) ~on_reply:(fun c ->
+      match c.Event_server.outcome with
+      | Event_server.Replied (Message.Read_reply { response = Proof.Found _; _ }) -> found := true
+      | _ -> ());
+  Event_server.run es;
+  Alcotest.(check bool) "last write reads back" true !found;
+  Alcotest.(check int) "the read re-signed the bound past it" (Serial.to_int sn)
+    (Serial.to_int (Worm.peek_current_bound env.store).Firmware.sn)
+
 (* ---------- multi-client: faulty batched run == sequential run ---------- *)
 
 let test_multi_client_convergence () =
@@ -256,5 +293,6 @@ let () =
           Alcotest.test_case "cross-client write batching" `Quick test_event_server_batches;
           Alcotest.test_case "debt-ceiling backpressure" `Quick test_event_server_backpressure;
           Alcotest.test_case "faulty multi-client converges" `Quick test_multi_client_convergence;
+          Alcotest.test_case "write batch signs twice per write" `Quick test_write_batch_signs_twice_per_write;
         ] );
     ]

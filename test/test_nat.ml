@@ -60,7 +60,20 @@ let prop_shift_inverse =
   t "shift right inverts shift left" (QCheck.pair arb_nat (QCheck.int_bound 100)) (fun (a, k) ->
       Nat.equal (Nat.shift_right (Nat.shift_left a k) k) a)
 
-let prop_bytes_roundtrip = t "bytes roundtrip" arb_nat (fun a -> Nat.equal (Nat.of_bytes_be (Nat.to_bytes_be a)) a)
+(* Zero, one byte, and values whose top byte straddles a 31-bit limb
+   boundary (bit 31, 62 or 93). *)
+let byte_edges =
+  Nat.[ zero; one; of_int 0xFF ]
+  @ List.concat_map
+      (fun b -> Nat.[ pred (shift_left one b); shift_left one (b - 1) ])
+      [ 32; 57; 62; 63; 64; 89; 93; 96 ]
+
+let prop_bytes_roundtrip =
+  t "bytes roundtrip"
+    (QCheck.make ~print:Nat.to_decimal QCheck.Gen.(frequency [ (3, gen_nat); (1, oneofl byte_edges) ]))
+    (fun a ->
+      let s = Nat.to_bytes_be a in
+      String.length s = (Nat.bit_length a + 7) / 8 && Nat.equal (Nat.of_bytes_be s) a)
 
 let prop_decimal_roundtrip = t "decimal roundtrip" arb_nat (fun a -> Nat.equal (Nat.of_decimal (Nat.to_decimal a)) a)
 
@@ -92,11 +105,56 @@ let prop_mod_pow_homomorphism =
       let rhs = Nat.modulo (Nat.mul (Nat.mod_pow ~base:a ~exp:e1 ~modulus:m) (Nat.mod_pow ~base:a ~exp:e2 ~modulus:m)) m in
       Nat.equal lhs rhs)
 
+(* Moduli at the Montgomery kernel's edges: the widths 27k - 1, 27k and
+   27k + 1 around its 27-bit limb boundaries (k = 1, 19, 38), each
+   random, all-ones (2^k - 1), or 2^k - 2^28 + 1, whose low limb 1 drives
+   every reduction digit toward its maximum. With m - 1 operands the
+   last two give the largest column sums. The widest supported modulus
+   joins them where the oracle is a single multiply. *)
+let kernel_widths = [ 26; 27; 28; 512; 513; 514; 1025; 1026; 1027 ]
+let widest_bits = 3402
+
+let odd_modulus rng bits =
+  let m = Drbg.nat_bits rng bits in
+  let m = if Nat.test_bit m (bits - 1) then m else Nat.add m (Nat.shift_left Nat.one (bits - 1)) in
+  if Nat.is_even m then Nat.succ m else m
+
+let all_ones bits = Nat.pred (Nat.shift_left Nat.one bits)
+let low_limb_one bits = Nat.succ (Nat.sub (Nat.shift_left Nat.one bits) (Nat.shift_left Nat.one 28))
+
+let edge_modulus rng (bits, kind) =
+  match kind with
+  | 0 -> odd_modulus rng bits
+  | 1 -> all_ones bits
+  | _ -> if bits > 29 then low_limb_one bits else all_ones bits
+
+(* (bits, kind for [edge_modulus]) *)
+let gen_edge_shape widths = QCheck.Gen.(pair (oneofl widths) (int_bound 2))
+
+(* Random triples (mixed widths, double-width bases: the CRT signing
+   shape) plus kernel-edge moduli with bases just below and at the m*R
+   limit of the wide-base path, R = 2^(27 * limbs), and exponents past
+   the 128-bit switch to fixed windows. *)
+let arb_ctx_case =
+  let open QCheck.Gen in
+  let edge =
+    map
+      (fun (seed, ((bits, _) as shape), pick) ->
+        let rng = Drbg.create ~seed in
+        let m = edge_modulus rng shape in
+        let m_r = Nat.shift_left m (27 * ((bits + 26) / 27)) in
+        let base = match pick with 0 -> Nat.pred m_r | 1 -> m_r | 2 -> Nat.pred m | _ -> Drbg.nat_below rng m_r in
+        (base, Drbg.nat_bits rng 160, m))
+      (triple (string_size (return 8)) (gen_edge_shape kernel_widths) (int_bound 3))
+  in
+  QCheck.make
+    ~print:(fun (a, b, c) -> String.concat "," (List.map Nat.to_decimal [ a; b; c ]))
+    (frequency [ (3, triple gen_nat gen_nat gen_nat); (1, edge) ])
+
 let prop_ctx_agrees_generic =
-  (* The fused-CIOS fast path must agree with the reference
-     square-and-multiply on random odd moduli of mixed widths,
-     including double-width bases (the CRT signing shape). *)
-  t "mod_pow_ctx agrees with mod_pow_generic" arb_triple (fun (base, exp, m) ->
+  (* The Montgomery fast path must agree with the reference
+     square-and-multiply. *)
+  t "mod_pow_ctx agrees with mod_pow_generic" arb_ctx_case (fun (base, exp, m) ->
       QCheck.assume (Nat.compare m Nat.two > 0 && not (Nat.is_even m));
       let ctx = Nat.mont_init m in
       Nat.equal (Nat.mod_pow_ctx ctx ~base ~exp) (Nat.mod_pow_generic ~base ~exp ~modulus:m))
@@ -126,22 +184,45 @@ let test_mont_ctx () =
     (Nat.mod_pow_ctx ctx ~base:Nat.two ~exp:(Nat.of_int 100));
   Alcotest.check nat "ctx base multiple of m" Nat.zero
     (Nat.mod_pow_ctx ctx ~base:(Nat.mul m (Nat.of_int 7)) ~exp:(Nat.of_int 5));
-  Alcotest.check nat "ctx zero exponent" Nat.one (Nat.mod_pow_ctx ctx ~base:(Nat.of_int 42) ~exp:Nat.zero)
+  Alcotest.check nat "ctx zero exponent" Nat.one (Nat.mod_pow_ctx ctx ~base:(Nat.of_int 42) ~exp:Nat.zero);
+  (* The widest modulus the kernel takes, and one limb beyond it: a named
+     rejection, where mod_pow falls back to the generic path. *)
+  let rng = Drbg.create ~seed:"widest" in
+  let cubes label m =
+    List.iter
+      (fun b ->
+        Alcotest.check nat (label ^ ": cube") (Nat.modulo (Nat.mul (Nat.mul b b) b) m)
+          (Nat.mod_pow ~base:b ~exp:(Nat.of_int 3) ~modulus:m))
+      [ Nat.pred m; Drbg.nat_below rng m ]
+  in
+  List.iter
+    (fun kind ->
+      let m = edge_modulus rng (widest_bits, kind) in
+      let label = Printf.sprintf "widest, kind %d" kind in
+      Alcotest.check nat (label ^ ": (m-1)^2") Nat.one (Nat.mod_mul (Nat.mont_init m) (Nat.pred m) (Nat.pred m));
+      cubes label m)
+    [ 0; 1; 2 ];
+  let beyond = all_ones (widest_bits + 1) in
+  Alcotest.check_raises "mont_init one limb too wide" (Invalid_argument "Nat.mont_init: modulus wider than 3402 bits")
+    (fun () -> ignore (Nat.mont_init beyond));
+  cubes "generic fallback one limb too wide" beyond
 
-(* Odd moduli of 64-2048 bits with operands below them, biased toward
-   the edges 0 and m - 1. *)
+(* Odd moduli of 64-2048 bits, kernel-edge and widest moduli, with
+   operands below them, biased toward the edges 0 and m - 1. *)
 let arb_mod_mul_case =
   let open QCheck.Gen in
+  let shape =
+    frequency
+      [ (2, map (fun bits -> (bits, 0)) (int_range 64 2048)); (2, gen_edge_shape (widest_bits :: kernel_widths)) ]
+  in
   let gen =
     map
-      (fun (seed, bits, pick_a, pick_b) ->
+      (fun (seed, shape, pick_a, pick_b) ->
         let rng = Drbg.create ~seed in
-        let m = Drbg.nat_bits rng bits in
-        let m = if Nat.test_bit m (bits - 1) then m else Nat.add m (Nat.shift_left Nat.one (bits - 1)) in
-        let m = if Nat.is_even m then Nat.succ m else m in
-        let operand = function 0 -> Nat.zero | 1 -> Nat.pred m | _ -> Drbg.nat_below rng m in
+        let m = edge_modulus rng shape in
+        let operand = function 0 -> Nat.zero | 1 | 2 -> Nat.pred m | _ -> Drbg.nat_below rng m in
         (m, operand pick_a, operand pick_b))
-      (quad (string_size (return 8)) (int_range 64 2048) (int_bound 5) (int_bound 5))
+      (quad (string_size (return 8)) shape (int_bound 5) (int_bound 5))
   in
   QCheck.make ~print:(fun (m, a, b) -> String.concat "," (List.map Nat.to_decimal [ m; a; b ])) gen
 

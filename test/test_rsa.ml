@@ -59,7 +59,14 @@ let test_signature_tamper_detected () =
 let test_cross_key_rejected () =
   let k1 = Lazy.force key512 and k2 = Lazy.force key1024 in
   let s = Rsa.sign k1 "msg" in
-  Alcotest.(check bool) "other key rejects" false (Rsa.verify (Rsa.public_of k2) ~msg:"msg" ~signature:s)
+  Alcotest.(check bool) "other key rejects" false (Rsa.verify (Rsa.public_of k2) ~msg:"msg" ~signature:s);
+  (* a modulus wider than the Montgomery kernel takes is checked on the
+     generic path, pooled or not, and never raises *)
+  let wide = { Rsa.n = Nat.pred (Nat.shift_left Nat.one 3403); e = Nat.of_int 65537 } in
+  let s = String.make 426 '\x5a' in
+  Alcotest.(check bool) "wide key rejects" false (Rsa.verify wide ~msg:"msg" ~signature:s);
+  Alcotest.(check (list bool)) "wide key rejects, pooled" [ false; false ]
+    (Worm_util.Pool.with_pool ~domains:2 (fun pool -> Rsa.verify_batch ~pool wide [ ("a", s); ("b", s) ]))
 
 let test_raw_roundtrip () =
   List.iter
